@@ -137,6 +137,35 @@ def run_queries(sf_dir: str) -> dict:
            {k[:-5]: v for k, v in out.items() if k.endswith("_rows")}
 
 
+def _interleaved_children(label: str, lo: int, hi: int, repeats: int,
+                          warmup: bool, timeout: int,
+                          env: dict | None = None) -> dict[int, list]:
+    """Run ``--linkage-only`` children at ``lo`` and ``hi`` CPUs, ``repeats``
+    interleaved pairs (plus one discarded first pair when ``warmup``), and
+    return each level's parsed JSON results. A child that prints no JSON
+    raises with its return code and stderr tail instead of an IndexError."""
+    samples: dict[int, list] = {lo: [], hi: []}
+    for rnd in range(repeats + int(warmup)):
+        # alternate within-pair order so neither level systematically
+        # runs on the fresher machine
+        for cpus in ((lo, hi) if rnd % 2 == 0 else (hi, lo)):
+            child_env = dict(os.environ, RAY_GRAFT_CPUS=str(cpus), **(env or {}))
+            proc = subprocess.run(
+                [sys.executable, os.path.abspath(__file__), "--linkage-only"],
+                env=child_env, capture_output=True, text=True, timeout=timeout)
+            lines = [l for l in proc.stdout.splitlines() if l.startswith("{")]
+            if not lines:
+                sys.stderr.write(
+                    f"{label} child (cpus={cpus}) exited rc={proc.returncode}"
+                    f" with no JSON; stderr tail:\n"
+                    + "\n".join(proc.stderr.splitlines()[-40:]) + "\n")
+                raise RuntimeError(f"{label} child failed at cpus={cpus}")
+            if rnd > 0 or not warmup:  # round 0 is the discarded warmup pair
+                samples[cpus].append(json.loads(lines[-1]))
+            time.sleep(20)  # let raylet teardown + spill cleanup settle
+    return samples
+
+
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--scaling", action="store_true")
@@ -174,28 +203,11 @@ def main() -> None:
         import ray
         ray.shutdown()
         repeats = int(os.environ.get("GRAFT_SCALING_SF1_REPEATS", "2"))
-        samples: dict[int, list] = {lo: [], hi: []}
-        for rnd in range(repeats):
-            for cpus in ((lo, hi) if rnd % 2 == 0 else (hi, lo)):
-                env = dict(os.environ, RAY_GRAFT_CPUS=str(cpus),
-                           GRAFT_BENCH_CONVS=str(SF1_CONVS))
-                # the low arm at 2 cpus runs ~45 min healthy on 400M turns;
-                # leave headroom for a degraded host window
-                proc = subprocess.run(
-                    [sys.executable, os.path.abspath(__file__),
-                     "--linkage-only"],
-                    env=env, capture_output=True, text=True, timeout=10800)
-                lines = [l for l in proc.stdout.splitlines()
-                         if l.startswith("{")]
-                if not lines:  # surface the child's crash, don't IndexError
-                    sys.stderr.write(
-                        f"sf1 child (cpus={cpus}) exited rc={proc.returncode}"
-                        f" with no JSON; stderr tail:\n"
-                        + "\n".join(proc.stderr.splitlines()[-40:]) + "\n")
-                    raise RuntimeError(f"sf1 scaling child failed at "
-                                       f"cpus={cpus}")
-                samples[cpus].append(json.loads(lines[-1]))
-                time.sleep(20)
+        # the low arm at 2 cpus runs ~45 min healthy on 400M turns; leave
+        # headroom for a degraded host window
+        samples = _interleaved_children(
+            "sf1", lo, hi, repeats, warmup=False, timeout=10800,
+            env={"GRAFT_BENCH_CONVS": str(SF1_CONVS)})
 
         def median(vals: list[float]) -> float:
             vals = sorted(vals)
@@ -242,20 +254,8 @@ def main() -> None:
         # worker-spawn costs that are not the engine's; discarding one
         # pair for BOTH levels keeps the protocol symmetric.
         repeats = int(os.environ.get("GRAFT_SCALING_REPEATS", "5"))
-        samples: dict[int, list] = {4: [], 16: []}
-        for rnd in range(repeats + 1):
-            # alternate within-pair order so neither level systematically
-            # runs on the fresher machine
-            for cpus in ((4, 16) if rnd % 2 == 0 else (16, 4)):
-                env = dict(os.environ, RAY_GRAFT_CPUS=str(cpus))
-                proc = subprocess.run(
-                    [sys.executable, os.path.abspath(__file__), "--linkage-only"],
-                    env=env, capture_output=True, text=True, timeout=1800)
-                line = [l for l in proc.stdout.splitlines()
-                        if l.startswith("{")][-1]
-                if rnd > 0:  # round 0 is the discarded warmup pair
-                    samples[cpus].append(json.loads(line))
-                time.sleep(20)  # let raylet teardown + spill cleanup settle
+        samples = _interleaved_children("scaling", 4, 16, repeats,
+                                        warmup=True, timeout=1800)
 
         def median(vals: list[float]) -> float:
             vals = sorted(vals)

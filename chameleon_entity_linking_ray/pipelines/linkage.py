@@ -14,8 +14,9 @@ optional per-stage checkpoints:
       -> connected_components(...)                     # SHUFFLE 4..k (or driver UF)
       -> mentions x assignments broadcast assign       # map-only join back
       -> per-partition sort(conv_id, turn_idx)         # output invariant:
-         range-partitioned input => stable global order with NO shuffle
-         (order="global" forces the all-to-all sort for interleaved input)
+         range-partitioned input (validated by a per-block bounds probe)
+         => stable global order with NO shuffle; interleaved input, or an
+         assignment table past the broadcast threshold, takes the global sort
 
 All heavy stages run over DISTINCT normalized surfaces (the vocabulary),
 not mention instances — mentions with equal norm share their cluster by
@@ -48,6 +49,7 @@ from chameleon_entity_linking_ray.stages.blocking import (
 from chameleon_entity_linking_ray.stages.cluster import connected_components
 from chameleon_entity_linking_ray.stages.extract import MentionExtractor
 from chameleon_entity_linking_ray.stages.joins import hash_join
+from chameleon_entity_linking_ray.stages.order import in_logical_order
 from chameleon_entity_linking_ray.stages.scoring import PairScorer
 from chameleon_entity_linking_ray.stages.stats import build_idf_stats
 from chameleon_entity_linking_ray.stages.vocab import add_node_column, build_vocab
@@ -142,7 +144,7 @@ def _local_sort(ds: Dataset, keys: list[str]) -> Dataset:
     yields globally stable (conv_id, turn_idx) order WITHOUT the all-to-all
     exchange a global ``Dataset.sort`` costs (measured as the scaling wall:
     ~25 s for the 30M-row mention table on one node, round 1 VERDICT).
-    For inputs with interleaved conv ranges use ``order="global"``."""
+    Callers validate the assumption with ``blocks_range_partitioned``."""
 
     import numpy as np
 
@@ -163,38 +165,16 @@ def _local_sort(ds: Dataset, keys: list[str]) -> Dataset:
     return ds.map_batches(psort, batch_format="pyarrow", batch_size=None)
 
 
-def _materialize_ordered(ds: Dataset) -> Dataset:
-    """``materialize()`` with the stored block list in LOGICAL order.
-
-    With ``preserve_order`` off (the default) the streaming executor hands
-    blocks to materialize in completion order; for order-bearing tables
-    (the mention stream feeding range-partitioned output) that silently
-    voids the range-partition contract. The DataContext object is shared
-    by reference across the lineage, so set-and-restore around the
-    synchronous materialize."""
-    opts = ds.context.execution_options
-    saved = opts.preserve_order
-    opts.preserve_order = True
-    try:
-        out = ds.materialize()
-    finally:
-        opts.preserve_order = saved
-    # the MaterializedDataset snapshots its own context DURING materialize
-    # (while the flag was True) — restore there too, or every downstream
-    # stage silently inherits preserve_order and loses pipelining
-    out.context.execution_options.preserve_order = saved
-    return out
-
-
-def blocks_range_partitioned(ds: Dataset, keys: list[str] | None = None) -> bool:
-    """Validate the range-partition contract ``order="partitioned"`` relies
-    on: per block, emit the min and max composite sort key (one Arrow
+def blocks_range_partitioned(ds: Dataset, keys: list[str] | None = None
+                             ) -> list[tuple[tuple, tuple]] | None:
+    """Validate the range-partition contract the per-block sort relies on:
+    per block, emit the min and max composite sort key (one Arrow
     sort_indices per block — no data movement); the per-block sort yields a
     globally stable order iff consecutive block boundaries are
-    non-decreasing in Dataset block order. Used by ``order="auto"`` to pick
-    the zero-shuffle path safely instead of assuming the contract."""
-    import numpy as np  # noqa: F401  (parity with sibling helpers)
+    non-decreasing in Dataset block order.
 
+    Returns the per-block ``(lo, hi)`` key tuples in LOGICAL block order
+    (empty blocks omitted) when the contract holds, else ``None``."""
     keys = keys or _OUT_KEYS
     # prune to the key columns: pushes projection into a parquet read and
     # shrinks the per-block sort_indices input on wide tables
@@ -214,141 +194,68 @@ def blocks_range_partitioned(ds: Dataset, keys: list[str] | None = None) -> bool
         return pa.table(cols)
 
     # batch_size=None -> one row per block. The check needs rows in LOGICAL
-    # block order, but with preserve_order off (the default) take_all()
-    # yields blocks in COMPLETION order — which made this probe spuriously
-    # return False and silently re-route callers onto the global sort (a
-    # 4x flagship regression). Each Dataset snapshots its DataContext at
-    # creation, so pin preserve_order on the PROBE dataset's own context
-    # (mutating the global context after creation is a no-op). That context
-    # object is SHARED by reference with the caller's lineage, so restore
-    # it after the (synchronous) probe — leaving it True would cost the
-    # caller's real pipeline its pipelining.
-    probe = ds.map_batches(bounds, batch_format="pyarrow", batch_size=None)
-    opts = probe.context.execution_options
-    saved = opts.preserve_order
-    opts.preserve_order = True
-    try:
-        rows = probe.take_all()
-    finally:
-        opts.preserve_order = saved
-    prev_hi = None
-    for r in rows:
-        lo = tuple(r[f"{k}_lo"] for k in keys)
-        hi = tuple(r[f"{k}_hi"] for k in keys)
-        if prev_hi is not None and lo < prev_hi:
-            return False
-        prev_hi = hi
-    return True
-
-
-def _ordered(ds: Dataset, order: str) -> Dataset:
-    from chameleon_entity_linking_ray.stages.extract import restore_derived
-    ds = ds.map_batches(restore_derived, batch_format="pyarrow")
-    if order == "global":
-        return ds.sort(_OUT_KEYS)
-    return _local_sort(ds, _OUT_KEYS)
+    # block order; in completion order this probe spuriously failed and
+    # silently re-routed callers onto the global sort (a 4x flagship
+    # regression).
+    rows = in_logical_order(
+        ds.map_batches(bounds, batch_format="pyarrow", batch_size=None),
+        Dataset.take_all)
+    out = [(tuple(r[f"{k}_lo"] for k in keys), tuple(r[f"{k}_hi"] for k in keys))
+           for r in rows]
+    if any(lo < prev_hi for (_, prev_hi), (lo, _) in zip(out, out[1:])):
+        return None
+    return out
 
 
 def assign_clusters(mentions: Dataset, assignments: Dataset,
                     config: LinkageConfig,
-                    broadcast_threshold: int = 4_000_000,
-                    order: str = "auto") -> Dataset:
-    """Left-join mentions (via node = hash(norm)) with CC assignments;
-    singleton surfaces cluster to their own node id. Output in stable
-    (conv_id, turn_idx, span_start) order. ``order`` picks how:
-
-    - ``"auto"`` (default): validate the range-partition contract with
-      ``blocks_range_partitioned`` (per-block min/max boundary keys — no
-      shuffle) and take the zero-movement per-block sort when it holds,
-      else fall back to the global ``Dataset.sort``. Callers feeding
-      interleaved / unsorted input get the totally-ordered output the
-      original contract promised.
-    - ``"partitioned"``: per-block sort, contract ASSUMED (benchmarks on
-      known range-partitioned corpora skip the validation pass).
-    - ``"global"``: always the all-to-all sort.
+                    broadcast_threshold: int = 4_000_000) -> Dataset:
+    """Left-join mentions (via node = hash(norm)) with CC assignments
+    through ``stages.cluster.attach_assignments``; singleton surfaces
+    cluster to their own node id. Output in stable
+    (conv_id, turn_idx, span_start) order.
 
     The assignment table covers only surfaces that matched something —
-    vocabulary-scale, orders of magnitude below the mention stream — so up
-    to ``broadcast_threshold`` rows it is broadcast via ``ray.put`` once
-    (sorted-array binary-search lookup per batch) instead of shuffling
-    every mention through a hash join; beyond that the bucketed shuffle
-    join takes over (which destroys partition order, so that path always
-    ends in the global sort)."""
-    if order == "auto":
-        order = "partitioned" if blocks_range_partitioned(mentions) else "global"
-    with_node = mentions.map_batches(add_node_column(), batch_format="pyarrow")
-    n_assign = assignments.count()
-
-    # empty sides lose their schema through the hash join — short-circuit
-    if n_assign == 0 or mentions.count() == 0:
-        def own_cluster(batch: pa.Table) -> pa.Table:
-            return batch.append_column("cluster_id",
-                                       pc.cast(batch.column("node"), pa.int64()))
-
-        return _ordered(with_node.map_batches(own_cluster,
-                                              batch_format="pyarrow"), order)
-
-    if n_assign <= broadcast_threshold:
-        import numpy as np
-
-        adf = assignments.to_pandas()
-        nodes = adf["node"].to_numpy(np.int64)
-        order_ix = np.argsort(nodes, kind="mergesort")
-        ref = ray.put((nodes[order_ix], adf["cluster"].to_numpy(np.int64)[order_ix]))
-
-        # plain tasks, not an actor pool: ray.get on a numpy object-store
-        # ref is a zero-copy shared-memory read per task, and task
-        # parallelism tracks block count instead of pool ramp-up
-        def assign_fn(batch: pa.Table) -> pa.Table:
-            nodes_s, clusters_s = ray.get(ref)
-            node = batch.column("node").to_numpy(zero_copy_only=False)
-            pos = np.searchsorted(nodes_s, node)
-            pos = np.clip(pos, 0, max(0, len(nodes_s) - 1))
-            hit = nodes_s[pos] == node if len(nodes_s) else \
-                np.zeros(len(node), bool)
-            cluster = np.where(hit, clusters_s[pos], node)
-            return batch.append_column("cluster_id",
-                                       pa.array(cluster, pa.int64()))
-
-        return _ordered(with_node.map_batches(assign_fn,
-                                              batch_format="pyarrow"), order)
-
-    joined = hash_join(with_node, assignments, on=("node",), join_type="left_outer",
-                       num_partitions=config.num_hash_buckets)
-
-    def finalize(batch: pa.Table) -> pa.Table:
-        cluster = pc.coalesce(batch.column("cluster"), batch.column("node"))
-        return batch.drop_columns(["cluster"]).append_column(
-            "cluster_id", pc.cast(cluster, pa.int64()))
-
+    vocabulary-scale — so up to ``broadcast_threshold`` rows the attach is
+    map-only and keeps the mention blocks in place: when
+    ``blocks_range_partitioned`` validates the mention stream, a per-block
+    sort gives the total order with no shuffle. Interleaved input, or an
+    assignment table past the threshold (the bucketed hash join destroys
+    partition order), ends in the global ``Dataset.sort``."""
+    from chameleon_entity_linking_ray.stages.cluster import attach_assignments
     from chameleon_entity_linking_ray.stages.extract import restore_derived
-    return joined.map_batches(finalize, batch_format="pyarrow") \
-                 .map_batches(restore_derived, batch_format="pyarrow") \
-                 .sort(_OUT_KEYS)
+
+    in_range = blocks_range_partitioned(mentions) is not None
+    # counted here and in the attach, then read once: pin it
+    assignments = assignments.materialize()
+    with_node = mentions.map_batches(add_node_column(), batch_format="pyarrow")
+    out = attach_assignments(with_node, assignments, "node",
+                             broadcast_threshold, config.num_hash_buckets) \
+        .drop_columns(["keep"]) \
+        .map_batches(restore_derived, batch_format="pyarrow")
+    if in_range and assignments.count() <= broadcast_threshold:
+        return _local_sort(out, _OUT_KEYS)
+    return out.sort(_OUT_KEYS)
 
 
 def annotate_transcripts(transcripts: Dataset, clustered: Dataset,
-                         config: LinkageConfig | None = None,
-                         order: str = "auto") -> Dataset:
+                         config: LinkageConfig | None = None) -> Dataset:
     """Turn-level output: every input turn, text byte-identical, plus typed
     ``entities: list<struct<start,end,surface,cluster_id>>`` — the engine's
     run-file analog (/root/reference/BiEncoder/test.py:128-132) satisfying
     the north-rule per-row invariant: per-turn text equality under stable
     (conv_id, turn_idx) ordering.
 
-    ``order`` mirrors the flagship contract: under ``"partitioned"`` (or
-    ``"auto"`` with the range-partition contract validated on the INPUT
-    transcripts) the collapse groups by RANGE bucket — one bucket per
-    input block's conv range, assigned by searchsorted against the block
-    boundary keys — so the groupby's own sort-shuffle emits buckets in
-    conv order and the trailing global ``Dataset.sort`` disappears (two
-    exchanges instead of three). ``"global"`` keeps the hash-bucket
-    collapse + global sort for interleaved inputs.
+    When ``blocks_range_partitioned`` validates the INPUT transcripts, the
+    collapse groups by RANGE bucket — one bucket per input block's conv
+    range, assigned by searchsorted against the probe's block upper bounds
+    — so the groupby's own sort-shuffle emits buckets in conv order and
+    the trailing global ``Dataset.sort`` disappears (two exchanges instead
+    of three). Interleaved input keeps the hash-bucket collapse + global
+    sort.
     """
     config = config or LinkageConfig()
-    if order == "auto":
-        order = "partitioned" if blocks_range_partitioned(
-            transcripts, ["conv_id", "turn_idx"]) else "global"
+    bounds = blocks_range_partitioned(transcripts, ["conv_id", "turn_idx"])
 
     def shrink(batch: pa.Table) -> pa.Table:
         return batch.select(["conv_id", "turn_idx", "span_start", "span_end",
@@ -383,34 +290,20 @@ def annotate_transcripts(transcripts: Dataset, clustered: Dataset,
 
     _MENTION_COLS = ("span_start", "span_end", "surface", "cluster_id")
 
-    if order == "partitioned":
-        # per-input-block conv boundaries (one tiny row per block, in block
-        # order — the contract just validated); bucket = first block whose
-        # max conv covers the row, via one vectorized searchsorted. A conv
-        # spanning two input blocks still maps to ONE bucket (searchsorted
-        # is by value, not block), so the collapse never splits a turn.
-        def block_max(batch: pa.Table) -> pa.Table:
-            if batch.num_rows == 0:
-                return pa.schema([("mx", batch.schema.field("conv_id").type)]) \
-                    .empty_table()
-            return pa.table({"mx": pa.array(
-                [pc.max(batch.column("conv_id")).as_py()])})
-
-        maxes_rows = transcripts.select_columns(["conv_id"]).map_batches(
-            block_max, batch_format="pyarrow", batch_size=None).take_all()
-        # take_all() yields blocks in COMPLETION order (preserve_order is
-        # off), so sort + dedupe: searchsorted needs sorted bounds, and the
-        # bucket map only has to be monotone in conv value — it need not
-        # correspond 1:1 to input blocks.
-        maxes = np.unique(np.asarray([r["mx"] for r in maxes_rows]))
-        bref = ray.put(maxes)
+    if bounds is not None:
+        # bucket = first input block whose max conv covers the row, via one
+        # vectorized searchsorted over the probe's (sorted, deduped) block
+        # upper bounds. A conv spanning two input blocks still maps to ONE
+        # bucket (searchsorted is by value, not block), so the collapse
+        # never splits a turn.
+        bref = ray.put(np.unique(np.asarray([hi[0] for _, hi in bounds])))
 
         def add_bucket(batch: pa.Table) -> pa.Table:
-            bounds = ray.get(bref)
+            uppers = ray.get(bref)
             conv = batch.column("conv_id").to_numpy(zero_copy_only=False)
-            if bounds.dtype.kind in ("U", "S"):
+            if uppers.dtype.kind in ("U", "S"):
                 conv = conv.astype("U")  # fixed-width -> vectorized C compare
-            b = np.searchsorted(bounds, conv, side="left").astype(np.int32)
+            b = np.searchsorted(uppers, conv, side="left").astype(np.int32)
             return batch.append_column("tbucket", pa.array(b, pa.int32()))
     else:
         def add_bucket(batch: pa.Table) -> pa.Table:
@@ -461,7 +354,7 @@ def annotate_transcripts(transcripts: Dataset, clustered: Dataset,
 
     out = joined.map_batches(add_bucket, batch_format="pyarrow") \
         .groupby("tbucket").map_groups(collapse, batch_format="pyarrow")
-    if order == "partitioned":
+    if bounds is not None:
         # groupby emits buckets in KEY order (sort-based shuffle) and the
         # collapse sorts within each bucket -> already globally ordered
         return out
@@ -470,8 +363,7 @@ def annotate_transcripts(transcripts: Dataset, clustered: Dataset,
 
 def run_linkage(transcripts: Dataset, config: LinkageConfig | None = None,
                 checkpoint_dir: str | None = None,
-                input_paths: list[str] | None = None,
-                order: str = "auto", scorer_cls=None,
+                input_paths: list[str] | None = None, scorer_cls=None,
                 scorer_kwargs: dict | None = None) -> tuple[Dataset, dict]:
     """Full pipeline. Returns (clustered mentions Dataset, stage metrics).
 
@@ -513,10 +405,10 @@ def run_linkage(transcripts: Dataset, config: LinkageConfig | None = None,
         # two consumers (vocab + final join-back) — pin once, don't recompute.
         # ORDERED materialize: with preserve_order off, materialize() stores
         # blocks in COMPLETION order, which breaks the range-partition
-        # contract downstream (order="auto" would then always pay the global
-        # sort). Mentions is the only order-bearing table — pin order here,
-        # leave every other stage free to pipeline out of order.
-        mentions = _materialize_ordered(mentions)
+        # contract downstream (assign_clusters would then always pay the
+        # global sort). Mentions is the only order-bearing table — pin order
+        # here, leave every other stage free to pipeline out of order.
+        mentions = in_logical_order(mentions, Dataset.materialize)
 
     vocab = stage("vocab", ["mentions"], build_vocab, mentions)
     if not ckpt:
@@ -550,8 +442,7 @@ def run_linkage(transcripts: Dataset, config: LinkageConfig | None = None,
             assignments = ckpt.save("assignments", assignments, ["scores"], t0)
 
     clustered = stage("clusters", ["assignments", "mentions"],
-                      assign_clusters, mentions, assignments, config,
-                      4_000_000, order)
+                      assign_clusters, mentions, assignments, config)
 
     if ckpt:
         for name, ent in ckpt.metrics().items():
@@ -564,12 +455,10 @@ def run_linkage(transcripts: Dataset, config: LinkageConfig | None = None,
 
 def run_linkage_on_parquet(path: str, config: LinkageConfig | None = None,
                            checkpoint_dir: str | None = None,
-                           num_blocks: int | None = None,
-                           order: str = "auto") -> tuple[Dataset, dict]:
+                           num_blocks: int | None = None) -> tuple[Dataset, dict]:
     # prune at the read: extraction only needs these three columns.
     # num_blocks: a single small parquet file loads as ONE block and would
     # serialize the extraction stage; benchmarks pass ~4x num_cpus.
     ds = ray.data.read_parquet(path, columns=["conv_id", "turn_idx", "text"],
                                override_num_blocks=num_blocks)
-    return run_linkage(ds, config, checkpoint_dir, input_paths=[path],
-                       order=order)
+    return run_linkage(ds, config, checkpoint_dir, input_paths=[path])

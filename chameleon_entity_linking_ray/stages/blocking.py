@@ -38,6 +38,7 @@ from ray.data import Dataset
 from chameleon_entity_linking_ray.config import LinkageConfig
 from chameleon_entity_linking_ray.functions.hashing import hash64, mix64
 from chameleon_entity_linking_ray.functions.minhash import lsh_band_keys, minhash_signatures
+from chameleon_entity_linking_ray.stages.order import in_logical_order
 
 
 class LshBander:
@@ -248,11 +249,8 @@ def sorted_neighborhood_pairs(ds: Dataset, key_col: str, id_col: str,
     """
     if window < 2:
         raise ValueError("window must be >= 2")
-    # local import: pipelines.linkage imports this module at top level
-    from chameleon_entity_linking_ray.pipelines.linkage import _materialize_ordered
-
-    s = _materialize_ordered(ds.select_columns([id_col, key_col])
-                             .sort([key_col, id_col]))
+    s = in_logical_order(ds.select_columns([id_col, key_col])
+                         .sort([key_col, id_col]), Dataset.materialize)
     refs = s.to_arrow_refs()
     prev = None  # first block has no cross-block predecessors
     pair_refs = []

@@ -129,14 +129,24 @@ def hash_join(left: Dataset, right: Dataset, on: tuple[str, ...],
     lcols = [f.name for f in out_schema if f.name in lnames]
     rcols = [f.name for f in out_schema if f.name not in lnames]
 
-    def merge(g: pd.DataFrame) -> pa.Table:
+    def merge(t: pa.Table) -> pa.Table:
+        g = t.to_pandas()
+        # an integer column with nulls (every right-only value column of
+        # the tagged union) would default to float64, which rounds values
+        # past 2**53 — 64-bit hash ids among them; keep those exact (and
+        # drop the pandas metadata that would bring the Arrow-backed dtype
+        # back on every later to_pandas)
+        for name, col in zip(t.column_names, t.columns):
+            if pa.types.is_integer(col.type) and col.null_count:
+                g[name] = col.to_pandas(types_mapper=pd.ArrowDtype)
         lpart = g.loc[g["__side"] == 0, lcols]
         rpart = g.loc[g["__side"] == 1, list(on) + rcols]
         out = lpart.merge(rpart, how=how, on=list(on))
         return pa.Table.from_pandas(out[out_schema.names], schema=out_schema,
-                                    preserve_index=False)
+                                    preserve_index=False) \
+            .replace_schema_metadata(None)
 
-    return tagged.groupby("__jbucket").map_groups(merge, batch_format="pandas")
+    return tagged.groupby("__jbucket").map_groups(merge, batch_format="pyarrow")
 
 
 def broadcast_semi_join(ds: Dataset, keys: Iterable, key_col: str,
@@ -188,29 +198,6 @@ def semi_join_ds(ds: Dataset, keys_ds: Dataset, key_col: str,
     else:
         keys = pa.array([], pa.int64())
     return broadcast_semi_join(ds, keys, key_col, anti=anti)
-
-
-def broadcast_lookup(ds: Dataset, mapping: dict, key_col: str, out_col: str,
-                     default=None, concurrency: int = 2) -> Dataset:
-    """Add a column by lookup against a broadcast small table — the engine
-    form of the reference's `collection[pid]` /`queries[qid]` dict probes
-    (/root/reference/CrossEncoder/test.py:80-99). The mapping is shipped as
-    (pd.Index, value array) and probed with the vectorized ``get_indexer``
-    (C hash-table batch lookup), never a per-row ``dict.get`` loop."""
-    idx = pd.Index(list(mapping.keys()))
-    # force a 1-D object array: np.asarray would build a 2-D array when all
-    # values are equal-length sequences, making values[pos] return rows
-    vals = np.empty(len(mapping), dtype=object)
-    vals[:] = list(mapping.values())
-    ref = ray.put((idx, vals))
-
-    def lookup(batch: pa.Table) -> pa.Table:
-        index, values = ray.get(ref)
-        pos = index.get_indexer(batch.column(key_col).to_pandas())
-        out = np.where(pos >= 0, values[np.clip(pos, 0, None)], default)
-        return batch.append_column(out_col, pa.array(out.tolist()))
-
-    return ds.map_batches(lookup, batch_format="pyarrow")
 
 
 def broadcast_hash_join(large: Dataset, small: Dataset, on: tuple[str, ...],

@@ -20,6 +20,8 @@ import time
 
 import ray.data
 
+from chameleon_entity_linking_ray.stages.order import in_logical_order
+
 
 class CheckpointManager:
     def __init__(self, root: str, run_fingerprint: str):
@@ -62,13 +64,7 @@ class CheckpointManager:
         # checkpoints must be byte-identical across runs (the resume
         # invariant); the streaming executor reorders blocks by completion
         # unless preserve_order is set, so pin it for the write only
-        ctx = ray.data.DataContext.get_current()
-        prev = ctx.execution_options.preserve_order
-        ctx.execution_options.preserve_order = True
-        try:
-            ds.write_parquet(tmp)
-        finally:
-            ctx.execution_options.preserve_order = prev
+        in_logical_order(ds, lambda d: d.write_parquet(tmp))
         os.replace(tmp, final)
         out = ray.data.read_parquet(final)
         self.manifest["stages"][stage] = {

@@ -1,4 +1,4 @@
-"""Round-3 regression tests: order="auto" contract validation, map-side
+"""Round-3 regression tests: range-partition probe and order pin, map-side
 join soundness guards, empty-block/value-shape edge cases, float64 score
 cache parity."""
 
@@ -14,10 +14,7 @@ from chameleon_entity_linking_ray.pipelines.linkage import (
     run_linkage,
 )
 from chameleon_entity_linking_ray.stages.agg import mean_pool_vectors
-from chameleon_entity_linking_ray.stages.joins import (
-    broadcast_hash_join,
-    broadcast_lookup,
-)
+from chameleon_entity_linking_ray.stages.joins import broadcast_hash_join
 from chameleon_entity_linking_ray.stages.scoring import (
     edit_similarity,
     edit_similarity_batch,
@@ -38,16 +35,18 @@ class TestOrderAuto:
         ds = rd.from_arrow(a).union(rd.from_arrow(b))
         assert not blocks_range_partitioned(ds, keys=["k", "t"])
 
-    def test_ordered_materialize_keeps_logical_block_order(self):
+    def test_ordered_materialize_keeps_logical_block_order(self, tmp_path):
         # The session fixture pins preserve_order=True; this test flips it
         # OFF to exercise the production default, where plain materialize()
-        # stores blocks in completion order. _materialize_ordered must keep
-        # the logical order (probe True) under that default — the silent
-        # 4x flagship regression of the round was this probe returning
-        # False on a completion-ordered materialize and re-routing the
-        # flagship onto the global sort.
-        from chameleon_entity_linking_ray.pipelines.linkage import (
-            _materialize_ordered,
+        # stores blocks in completion order. The order pin must keep the
+        # logical order (probe returns bounds) under that default — the
+        # silent 4x flagship regression of the round was this probe failing
+        # on a completion-ordered materialize and re-routing the flagship
+        # onto the global sort. A checkpoint write must read back in
+        # logical order too.
+        from chameleon_entity_linking_ray.stages.order import in_logical_order
+        from chameleon_entity_linking_ray.state.checkpoint import (
+            CheckpointManager,
         )
         ctx = rd.DataContext.get_current()
         saved = ctx.execution_options.preserve_order
@@ -63,10 +62,18 @@ class TestOrderAuto:
 
             ds = rd.from_arrow(pa.table({"k": list(range(1000))})) \
                 .repartition(8).map_batches(slow_first, batch_format="pyarrow")
-            m = _materialize_ordered(ds)
-            assert blocks_range_partitioned(m, keys=["k"])
-            # and the shared context flag was restored
+            m = in_logical_order(ds, rd.Dataset.materialize)
+            bounds = blocks_range_partitioned(m, keys=["k"])
+            assert bounds is not None and len(bounds) == 8
+            assert bounds[0] == ((0,), (124,)) and bounds[-1][1] == (999,)
+            # the shared context flags were restored, the probe's included
+            assert ds.context.execution_options.preserve_order is False
             assert m.context.execution_options.preserve_order is False
+
+            back = CheckpointManager(str(tmp_path), "fp").save(
+                "k", ds, ["input"], 0.0)
+            assert back.take_all() == [{"k": i} for i in range(1000)]
+            assert ds.context.execution_options.preserve_order is False
         finally:
             ctx.execution_options.preserve_order = saved
 
@@ -76,7 +83,7 @@ class TestOrderAuto:
         shuffled = transcripts.take(pa.array(perm)) \
             .select(["conv_id", "turn_idx", "text"])
         ds = rd.from_arrow(shuffled).repartition(6)
-        clustered, _ = run_linkage(ds, LinkageConfig(), order="auto")
+        clustered, _ = run_linkage(ds, LinkageConfig())
         out = clustered.to_pandas()
         key = out[["conv_id", "turn_idx", "span_start"]]
         assert key.equals(
@@ -85,7 +92,7 @@ class TestOrderAuto:
 
 
 class TestAnnotateOrder:
-    def _run(self, transcripts_tbl, order):
+    def _run(self, transcripts_tbl):
         import ray.data as rd2
         from chameleon_entity_linking_ray.pipelines.linkage import (
             annotate_transcripts,
@@ -93,14 +100,22 @@ class TestAnnotateOrder:
         )
         ds = rd2.from_arrow(transcripts_tbl).repartition(4)
         clustered, _ = run_linkage(ds, LinkageConfig())
-        return annotate_transcripts(ds, clustered, LinkageConfig(),
-                                    order=order).to_pandas()
+        return annotate_transcripts(ds, clustered, LinkageConfig()).to_pandas()
 
     def test_partitioned_equals_global_on_sorted_input(self):
+        # the probe routes the sorted turns onto the range-bucket path and
+        # the permuted ones onto the hash-bucket collapse + global sort
         transcripts, _ = make_transcripts(n_convs=25, n_entities=8, seed=5)
         tbl = transcripts.select(["conv_id", "turn_idx", "text"])
-        a = self._run(tbl, "partitioned")
-        b = self._run(tbl, "global")
+        perm = np.random.default_rng(3).permutation(tbl.num_rows)
+        permuted = tbl.take(pa.array(perm))
+        keys = ["conv_id", "turn_idx"]
+        assert blocks_range_partitioned(
+            rd.from_arrow(tbl).repartition(4), keys) is not None
+        assert blocks_range_partitioned(
+            rd.from_arrow(permuted).repartition(4), keys) is None
+        a = self._run(tbl)
+        b = self._run(permuted)
         assert a[["conv_id", "turn_idx", "text"]].equals(
             b[["conv_id", "turn_idx", "text"]])
         assert a["entities"].map(len).tolist() == b["entities"].map(len).tolist()
@@ -113,7 +128,7 @@ class TestAnnotateOrder:
         perm = np.random.default_rng(3).permutation(transcripts.num_rows)
         tbl = transcripts.take(pa.array(perm)) \
             .select(["conv_id", "turn_idx", "text"])
-        out = self._run(tbl, "auto")
+        out = self._run(tbl)
         key = out[["conv_id", "turn_idx"]]
         assert key.equals(key.sort_values(["conv_id", "turn_idx"])
                           .reset_index(drop=True))
@@ -126,17 +141,6 @@ class TestJoinGuards:
         for jt in ("right_outer", "full_outer"):
             with pytest.raises(ValueError, match="broadcast_hash_join"):
                 broadcast_hash_join(big, small, on=("k",), join_type=jt)
-
-    def test_broadcast_lookup_equal_length_list_values(self):
-        ds = rd.from_items([{"k": 1}, {"k": 2}, {"k": 9}])
-        mapping = {1: [1.0, 2.0], 2: [3.0, 4.0]}  # equal-length values
-        # take_all, not to_pandas: Ray's pandas conversion chokes on a
-        # list column containing a null (TensorArray ragged check)
-        rows = {r["k"]: r["v"] for r in
-                broadcast_lookup(ds, mapping, "k", "v").take_all()}
-        assert list(rows[1]) == [1.0, 2.0]
-        assert list(rows[2]) == [3.0, 4.0]
-        assert rows[9] is None
 
 
 class TestEmptyBlocks:

@@ -59,6 +59,46 @@ def test_attach_assignments_broadcast_vs_join_identical():
     assert bool(bcast[bcast.doc_id == 3].iloc[0].keep)
 
 
+def test_assign_clusters_join_path_matches_broadcast():
+    """The flagship's cluster-id attach forced onto the hash-join path
+    (broadcast_threshold=0) gives the same rows, cluster ids and
+    (conv_id, turn_idx, span_start) order as the default broadcast path."""
+    from chameleon_entity_linking_ray.config import LinkageConfig
+    from chameleon_entity_linking_ray.pipelines.linkage import (
+        assign_clusters, extract_mentions, generate_pairs, matched_edges,
+        score_pairs,
+    )
+    from chameleon_entity_linking_ray.stages.cluster import (
+        connected_components,
+    )
+    from chameleon_entity_linking_ray.stages.stats import build_idf_stats
+    from chameleon_entity_linking_ray.stages.vocab import build_vocab
+    from chameleon_entity_linking_ray.testing.synth import make_transcripts
+    import ray
+
+    cfg = LinkageConfig()
+    turns, _ = make_transcripts(n_convs=30, n_entities=8, seed=3)
+    ds = rd.from_arrow(turns.select(["conv_id", "turn_idx", "text"])) \
+        .repartition(4)
+    mentions = extract_mentions(ds, cfg).materialize()
+    vocab = build_vocab(mentions).materialize()
+    stats_ref = ray.put(build_idf_stats(vocab, cfg))
+    edges = matched_edges(score_pairs(generate_pairs(vocab, cfg), cfg,
+                                      stats_ref), cfg)
+    assignments, _ = connected_components(edges)
+    assignments = assignments.materialize()
+    assert assignments.count() > 0
+
+    bcast = assign_clusters(mentions, assignments, cfg).to_pandas()
+    joined = assign_clusters(mentions, assignments, cfg,
+                             broadcast_threshold=0).to_pandas()
+    pd.testing.assert_frame_equal(bcast, joined)
+    key = bcast[["conv_id", "turn_idx", "span_start"]]
+    assert key.equals(key.sort_values(list(key.columns))
+                      .reset_index(drop=True))
+    assert (bcast.cluster_id != bcast.node).any()
+
+
 def test_attach_assignments_empty_assignments():
     out = attach_assignments(_docs([4, 2]), _assign([]), id_col="doc_id") \
         .to_pandas().sort_values("doc_id")

@@ -108,14 +108,12 @@ import ray  # noqa: E402
 
 
 def run_linkage_bench(num_cpus: int, convs: int = BENCH_CONVS) -> dict:
-    from chameleon_entity_linking_ray.config import LinkageConfig
     from chameleon_entity_linking_ray.pipelines.linkage import run_linkage_on_parquet
     path, n_turns = _bench_fixture(convs)
     _warm_workers(num_cpus)
     t0 = time.time()
     clustered, _ = run_linkage_on_parquet(
-        path, LinkageConfig(scorer_concurrency=max(2, num_cpus - 2)),
-        num_blocks=128 if convs <= BENCH_CONVS else 512)
+        path, num_blocks=128 if convs <= BENCH_CONVS else 512)
     n_mentions = clustered.count()
     sec = time.time() - t0
     return {"turns": n_turns, "mentions": n_mentions,

@@ -8,7 +8,8 @@ A from-scratch rebuild of the *semantics* of ``sadjadeb/chameleon_entity_linking
       -> map_batches(minhash + LSH bands)       # stateless numpy kernels
       -> groupby(block_key).map_groups(pairs)   # shuffle 1 (salted for skew)
       -> groupby(pair_key)  dedup               # shuffle 2
-      -> map_batches(PairScorer, concurrency=N) # stateful actor pool
+      -> map_batches(score_batch)               # stateless tasks (a model
+                                                #   scorer_cls: actor pool)
       -> filter(score > theta)
       -> connected components (groupby loop)    # shuffles 3..k
       -> join back -> sort(conv_id, turn_idx) -> write_parquet

@@ -45,9 +45,11 @@ class LinkageConfig:
 
     # --- execution sizing ---
     batch_size: int = 4096
-    scorer_concurrency: int = 4  # actor-pool max size for the scoring stage
-    scorer_batch_size: int = 2048  # smaller than batch_size: more in-flight
-    # batches keep the autoscaling pool saturated (pool scales on queue depth)
+    # a scorer_cls stage runs as a FIXED pool of min(scorer_concurrency,
+    # CPUs - 1) actors; scorer_batch_size is the rows per scoring call on
+    # that pool and on the default task stage alike
+    scorer_concurrency: int = 4
+    scorer_batch_size: int = 2048
     num_hash_buckets: int = 32  # partitioned hash-join bucket count
 
     # --- device placement (GPU readiness; reference collate target:

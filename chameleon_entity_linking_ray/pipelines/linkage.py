@@ -9,8 +9,8 @@ optional per-stage checkpoints:
       -> map_batches(LshBander)  bands + token blocks  # stateless numpy
       -> groupby(bucket).map_groups(make_pairs)        # SHUFFLE 2 (skew-capped)
       -> groupby(pbucket).map_groups(dedup)            # SHUFFLE 3 pair dedup
-      -> map_batches(PairScorer, concurrency=N)        # actor pool + broadcast IDF
-      -> filter(score > theta) -> edges                # vectorized
+      -> map_batches(score_batch) + broadcast IDF      # stateless tasks, fused
+      -> filter(score > theta) -> edges                #   with the edge filter
       -> connected_components(...)                     # SHUFFLE 4..k (or driver UF)
       -> mentions x assignments broadcast assign       # map-only join back
       -> per-partition sort(conv_id, turn_idx)         # output invariant:
@@ -50,7 +50,7 @@ from chameleon_entity_linking_ray.stages.cluster import connected_components
 from chameleon_entity_linking_ray.stages.extract import MentionExtractor
 from chameleon_entity_linking_ray.stages.joins import hash_join
 from chameleon_entity_linking_ray.stages.order import in_logical_order
-from chameleon_entity_linking_ray.stages.scoring import PairScorer
+from chameleon_entity_linking_ray.stages.scoring import PairScorer, score_batch
 from chameleon_entity_linking_ray.stages.stats import build_idf_stats
 from chameleon_entity_linking_ray.stages.vocab import add_node_column, build_vocab
 from chameleon_entity_linking_ray.state.checkpoint import (
@@ -85,10 +85,22 @@ def generate_pairs(vocab: Dataset, config: LinkageConfig) -> Dataset:
 
 def score_pairs(pairs: Dataset, config: LinkageConfig, stats_ref=None,
                 scorer_cls=None, scorer_kwargs: dict | None = None) -> Dataset:
-    """``scorer_cls``: any callable class with the PairScorer protocol —
-    default the deterministic stand-in kernel; pass
-    ``stages.model.ModelPairScorer`` (plus its ``weights_ref`` in
-    ``scorer_kwargs``) for the model-backed path."""
+    """Append ``text_score``, ``entity_score`` and ``score`` to every pair.
+
+    Default (no ``scorer_cls``): the deterministic ``PairScorer`` kernel as
+    a stateless TASK stage — no pool to size or starve, and it fuses with
+    the downstream edge filter, so the scored pair table is never pinned.
+    Every score is per pair, so the batch layout cannot change a value.
+
+    ``scorer_cls``: any callable class with the PairScorer protocol whose
+    ``__init__`` is worth amortizing, e.g. ``stages.model.ModelPairScorer``
+    (plus its ``weights_ref`` in ``scorer_kwargs``): it runs as a fixed
+    actor pool."""
+    if scorer_cls is None:
+        return pairs.map_batches(
+            score_batch, fn_kwargs={"config": config, "stats_ref": stats_ref,
+                                    "scorer_kwargs": scorer_kwargs},
+            batch_format="pyarrow", batch_size=config.scorer_batch_size)
     # the pair table emerges from a groupby in a handful of fat blocks, and
     # map_batches parallelism is bounded by input block count — spread it
     # across the pool and PIN it first (cheap: pairs are candidate-pruned).
@@ -101,7 +113,6 @@ def score_pairs(pairs: Dataset, config: LinkageConfig, stats_ref=None,
     # short (measured 2x slower than fixed at the same max)
     avail = int(ray.cluster_resources().get("CPU", 2))
     pool = max(1, min(config.scorer_concurrency, avail - 1))
-    cls = scorer_cls or PairScorer
     kwargs = {"config": config, "stats_ref": stats_ref}
     kwargs.update(scorer_kwargs or {})
     # GPU readiness (reference collate target CrossEncoder/model.py:29-33):
@@ -109,13 +120,13 @@ def score_pairs(pairs: Dataset, config: LinkageConfig, stats_ref=None,
     # path); reserve scorer_num_gpus per actor when configured — on the
     # CPU-only default (0.0, "cpu") the plan is byte-identical to before.
     import inspect
-    if "device" in inspect.signature(cls.__init__).parameters:
+    if "device" in inspect.signature(scorer_cls.__init__).parameters:
         kwargs.setdefault("device", config.scorer_device)
     extra: dict = {}
     if config.scorer_num_gpus > 0:
         extra["num_gpus"] = config.scorer_num_gpus
     return pairs.map_batches(
-        cls, fn_constructor_kwargs=kwargs,
+        scorer_cls, fn_constructor_kwargs=kwargs,
         batch_format="pyarrow", batch_size=config.scorer_batch_size,
         concurrency=pool, **extra)
 
@@ -371,9 +382,9 @@ def run_linkage(transcripts: Dataset, config: LinkageConfig | None = None,
     rerun resumes after the last completed stage (same input + config
     fingerprint), per the north rule's resumability requirement.
 
-    ``scorer_cls`` / ``scorer_kwargs`` swap the scoring actor class
-    (default: the deterministic stand-in ``PairScorer``; see
-    ``stages.model.ModelPairScorer`` for the model-backed path).
+    ``scorer_cls`` / ``scorer_kwargs`` swap the scorer (default: the
+    deterministic stand-in ``PairScorer`` as a task stage; a ``scorer_cls``
+    such as ``stages.model.ModelPairScorer`` runs as an actor pool).
     """
     config = config or LinkageConfig()
     ckpt = None
@@ -417,7 +428,7 @@ def run_linkage(transcripts: Dataset, config: LinkageConfig | None = None,
     pairs = stage("pairs", ["vocab"], generate_pairs, vocab, config)
 
     # corpus DF statistics: distributed aggregate -> ray.put ONCE -> read by
-    # every scorer actor in __init__ (broadcast small side, never re-shipped)
+    # every scorer in its __init__ (broadcast small side, never re-shipped)
     t0 = time.time()
     stats_ref = ray.put(build_idf_stats(vocab, config))
     metrics["idf_stats"] = {"wall_sec": round(time.time() - t0, 3)}

@@ -1,11 +1,13 @@
-"""Pairwise scoring — the stateful actor-pool stage.
+"""Pairwise scoring — a stateless task stage by default.
 
-Reproduces the reference's retrieve-then-rerank semantics with the same
-call shape a GPU model stage would have: a callable CLASS passed to
-``map_batches(PairScorer, concurrency=N, batch_size=B)`` whose ``__init__``
-does the one-time setup (model-load analog: fetching the broadcast IDF
-tables from the object store, priming caches) and whose ``__call__`` scores
-an Arrow batch of candidate pairs.
+Reproduces the reference's retrieve-then-rerank semantics. ``PairScorer``
+has the call shape of a model stage: a callable CLASS whose ``__init__``
+does the setup (fetching the broadcast IDF tables from the object store)
+and whose ``__call__`` scores an Arrow batch of candidate pairs. The
+default flagship path runs it through ``score_batch`` as plain
+``map_batches`` tasks, one scorer per batch; a scorer class whose setup
+is expensive (``stages.model.ModelPairScorer``, the model-load analog)
+runs as a fixed actor pool instead (``pipelines.linkage.score_pairs``).
 
 Stage anatomy, mirroring the reference:
 - **retrieve prefilter** (bi-encoder analog, /root/reference/BiEncoder/
@@ -19,10 +21,12 @@ Stage anatomy, mirroring the reference:
   /root/reference/BiEncoder/test.py:120.
 
 Because scoring runs over DISTINCT surface pairs (see stages/vocab.py) the
-per-pair token alignment cost is paid once per unique string pair; the
-actor additionally memoizes token-pair similarities and per-surface token
-decompositions across batches (state amortization — the point of the actor
-pool). Swap in a real model by implementing the same protocol.
+per-pair token alignment cost is paid once per unique string pair; within
+a batch (or across an actor's batches) the scorer also memoizes token-pair
+similarities and per-surface token decompositions. Every score is per
+pair and the memos are bit-equal to a fresh computation, so neither the
+batch layout nor the path changes a value. Swap in a real model by
+implementing the same protocol.
 """
 
 from __future__ import annotations
@@ -150,7 +154,8 @@ def weighted_ngram_features(texts: list[str], dim: int, k: int, seed: int,
 class PairScorer:
     def __init__(self, config: LinkageConfig | None = None,
                  stats_ref=None, prefilter: float = PREFILTER_DEFAULT):
-        # runs ONCE per actor: fetch broadcast IDF tables (model-load analog)
+        # runs once per task batch, or once per actor on the scorer_cls
+        # path: fetch the broadcast IDF tables (model-load analog)
         self.c = config or LinkageConfig()
         self.stats: IdfStats | None = ray.get(stats_ref) if stats_ref is not None else None
         self.prefilter = prefilter
@@ -177,36 +182,9 @@ class PairScorer:
             self._tok_cache[text] = hit
         return hit
 
-    def _tsim(self, a: str, b: str) -> float:
-        key = (a, b) if a < b else (b, a)
-        v = self._sim_cache.get(key)
-        if v is None:
-            if len(self._sim_cache) >= self._cache_cap:
-                self._sim_cache.clear()
-            v = edit_similarity(key[0], key[1])
-            self._sim_cache[key] = v
-        return v
-
-    def _monge_elkan(self, left: str, right: str) -> float:
-        """Symmetrized IDF-weighted Monge-Elkan token alignment (min of the
-        two directions — the conservative choice for precision)."""
-        lt, _, lw = self._tokens(left)
-        rt, _, rw = self._tokens(right)
-        if not lt or not rt:
-            return 0.0
-
-        def side(xs, ws, ys):
-            num = den = 0.0
-            for x, w in zip(xs, ws):
-                num += w * max(self._tsim(x, y) for y in ys)
-                den += w
-            return num / den if den else 0.0
-
-        return min(side(lt, lw, rt), side(rt, rw, lt))
-
     def _batch_monge_elkan(self, lefts: list[str], rights: list[str]) -> np.ndarray:
         """Vectorized symmetrized Monge-Elkan over a batch of pairs: token
-        decompositions come from the actor cache, missing token-pair
+        decompositions come from the scorer's cache, missing token-pair
         similarities are computed in ONE batched DP
         (``edit_similarity_batch``), and the per-side max/weighted-mean
         arithmetic is segment ``reduceat`` — no per-pair Python beyond the
@@ -347,6 +325,12 @@ class PairScorer:
                 .append_column("text_score", pa.array(text_score, pa.float32()))
                 .append_column("entity_score", pa.array(entity_score, pa.float32()))
                 .append_column("score", pa.array(score, pa.float32())))
+
+
+def score_batch(batch: pa.Table, config: LinkageConfig, stats_ref=None,
+                scorer_kwargs: dict | None = None) -> pa.Table:
+    """Task-stage form of ``PairScorer``: a fresh scorer per batch."""
+    return PairScorer(config, stats_ref, **(scorer_kwargs or {}))(batch)
 
 
 def damerau_levenshtein_batch(A: list[str], B: list[str]) -> np.ndarray:

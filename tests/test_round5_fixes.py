@@ -281,7 +281,9 @@ from chameleon_entity_linking_ray.testing.faults import (  # noqa: E402
 def test_flagship_survives_scorer_actor_death(tmp_path):
     """Kill one scorer actor mid-flagship: the run must complete with
     output identical to an undisturbed run — retried partitions are
-    idempotent, no duplicated or dropped rows (SURVEY §4 claim)."""
+    idempotent, no duplicated or dropped rows (SURVEY §4 claim). The
+    undisturbed run takes the default task path and the faulted one the
+    ``scorer_cls`` actor path, so this also compares the two end to end."""
     import ray
 
     from chameleon_entity_linking_ray.pipelines.linkage import run_linkage
@@ -362,6 +364,60 @@ def test_score_pairs_device_kwarg_reaches_actor():
                        LinkageConfig(scorer_device="cuda",
                                      scorer_concurrency=1)).to_pandas()
     assert "score" in base.columns
+
+
+def test_score_pairs_task_default_equals_actor_path():
+    """The default task stage and the ``scorer_cls=PairScorer`` actor pool
+    score every pair bit-identically, over a multi-block pair table."""
+    from chameleon_entity_linking_ray.config import LinkageConfig
+    from chameleon_entity_linking_ray.pipelines.linkage import (
+        extract_mentions,
+        generate_pairs,
+        score_pairs,
+    )
+    from chameleon_entity_linking_ray.stages.scoring import PairScorer
+    from chameleon_entity_linking_ray.stages.stats import build_idf_stats
+    from chameleon_entity_linking_ray.stages.vocab import build_vocab
+    from chameleon_entity_linking_ray.testing.synth import make_transcripts
+
+    cfg = LinkageConfig(scorer_batch_size=64, scorer_concurrency=1)
+    turns, _ = make_transcripts(n_convs=60, n_entities=12, seed=42)
+    vocab = build_vocab(extract_mentions(
+        ray.data.from_arrow(turns).repartition(4), cfg)).materialize()
+    stats_ref = ray.put(build_idf_stats(vocab, cfg))
+    pairs = generate_pairs(vocab, cfg).repartition(3).materialize()
+    assert pairs.num_blocks() > 1 and pairs.count() > cfg.scorer_batch_size
+
+    def scored(**kw) -> pa.Table:
+        t = pa.concat_tables(ray.get(
+            score_pairs(pairs, cfg, stats_ref, **kw).to_arrow_refs()))
+        return t.sort_by([("left_id", "ascending"), ("right_id", "ascending")])
+
+    want = scored(scorer_cls=PairScorer)
+    got = scored()
+    assert got.equals(want)
+
+
+def test_score_pairs_default_starts_no_actor(monkeypatch):
+    """Without a ``scorer_cls`` the scorer is a plain task stage: no pool
+    size and no constructor kwargs reach ``map_batches``."""
+    from ray.data import Dataset
+
+    from chameleon_entity_linking_ray.config import LinkageConfig
+    from chameleon_entity_linking_ray.pipelines.linkage import score_pairs
+
+    calls = []
+    orig = Dataset.map_batches
+
+    def spy(self, fn, **kw):
+        calls.append(kw)
+        return orig(self, fn, **kw)
+
+    monkeypatch.setattr(Dataset, "map_batches", spy)
+    score_pairs(_tiny_pairs(), LinkageConfig())  # lazy — never consumed
+    assert calls
+    assert all("concurrency" not in kw and "fn_constructor_kwargs" not in kw
+               for kw in calls)
 
 
 def test_score_pairs_num_gpus_reserved(monkeypatch):

@@ -15,8 +15,14 @@ optional per-stage checkpoints:
       -> mentions x assignments broadcast assign       # map-only join back
       -> per-partition sort(conv_id, turn_idx)         # output invariant:
          range-partitioned input (validated by a per-block bounds probe)
-         => stable global order with NO shuffle; interleaved input, or an
-         assignment table past the broadcast threshold, takes the global sort
+         => per-block sort + ordered materialize, NO shuffle; interleaved
+         input, or an assignment table past the broadcast threshold, takes
+         the global sort
+
+    annotate_transcripts(transcripts, clustered)       # run-file output
+      -> distinct (surface, cluster_id) -> ray.put     # vocabulary-sized
+      -> map_batches(re-extract + lookup)              # one map, no join
+      -> the same order tail as the mentions, on (conv_id, turn_idx)
 
 All heavy stages run over DISTINCT normalized surfaces (the vocabulary),
 not mention instances — mentions with equal norm share their cluster by
@@ -47,8 +53,11 @@ from chameleon_entity_linking_ray.stages.blocking import (
     make_pair_generator,
 )
 from chameleon_entity_linking_ray.stages.cluster import connected_components
-from chameleon_entity_linking_ray.stages.extract import MentionExtractor
-from chameleon_entity_linking_ray.stages.joins import hash_join
+from chameleon_entity_linking_ray.stages.extract import (
+    MentionExtractor,
+    find_mentions_batch,
+    row_lists,
+)
 from chameleon_entity_linking_ray.stages.order import in_logical_order
 from chameleon_entity_linking_ray.stages.scoring import PairScorer, score_batch
 from chameleon_entity_linking_ray.stages.stats import build_idf_stats
@@ -143,6 +152,11 @@ def matched_edges(scored: Dataset, config: LinkageConfig) -> Dataset:
 
 
 _OUT_KEYS = ["conv_id", "turn_idx", "span_start"]
+_ENTITY_STRUCT = pa.struct([("start", pa.int32()), ("end", pa.int32()),
+                            ("surface", pa.string()),
+                            ("cluster_id", pa.int64())])
+_LOOKUP_SCHEMA = pa.schema([("surface", pa.string()),
+                            ("cluster_id", pa.int64())])
 
 
 def _local_sort(ds: Dataset, keys: list[str]) -> Dataset:
@@ -232,7 +246,8 @@ def assign_clusters(mentions: Dataset, assignments: Dataset,
     ``blocks_range_partitioned`` validates the mention stream, a per-block
     sort gives the total order with no shuffle. Interleaved input, or an
     assignment table past the threshold (the bucketed hash join destroys
-    partition order), ends in the global ``Dataset.sort``."""
+    partition order), ends in the global ``Dataset.sort``. Both tails are
+    ``_output_order``, shared with ``annotate_transcripts``."""
     from chameleon_entity_linking_ray.stages.cluster import attach_assignments
     from chameleon_entity_linking_ray.stages.extract import restore_derived
 
@@ -244,9 +259,21 @@ def assign_clusters(mentions: Dataset, assignments: Dataset,
                              broadcast_threshold, config.num_hash_buckets) \
         .drop_columns(["keep"]) \
         .map_batches(restore_derived, batch_format="pyarrow")
-    if in_range and assignments.count() <= broadcast_threshold:
-        return _local_sort(out, _OUT_KEYS)
-    return out.sort(_OUT_KEYS)
+    return _output_order(
+        out, _OUT_KEYS,
+        in_range and assignments.count() <= broadcast_threshold)
+
+
+def _output_order(ds: Dataset, keys: list[str], in_range: bool) -> Dataset:
+    """The output tail of ``assign_clusters`` and ``annotate_transcripts``:
+    stable ``keys`` order. ``in_range`` (the stream still sits in the
+    blocks ``blocks_range_partitioned`` validated) takes the per-block sort
+    plus an ORDERED materialize — without the pin, ``preserve_order`` off
+    hands ``take_all``/``to_pandas`` and ``write_parquet`` the sorted
+    blocks in completion order. Otherwise the global ``Dataset.sort``."""
+    if in_range:
+        return in_logical_order(_local_sort(ds, keys), Dataset.materialize)
+    return ds.sort(keys)
 
 
 def annotate_transcripts(transcripts: Dataset, clustered: Dataset,
@@ -257,119 +284,55 @@ def annotate_transcripts(transcripts: Dataset, clustered: Dataset,
     the north-rule per-row invariant: per-turn text equality under stable
     (conv_id, turn_idx) ordering.
 
-    When ``blocks_range_partitioned`` validates the INPUT transcripts, the
-    collapse groups by RANGE bucket — one bucket per input block's conv
-    range, assigned by searchsorted against the probe's block upper bounds
-    — so the groupby's own sort-shuffle emits buckets in conv order and
-    the trailing global ``Dataset.sort`` disappears (two exchanges instead
-    of three). Interleaved input keeps the hash-bucket collapse + global
-    sort.
+    Contract: ``clustered`` is ``run_linkage`` output for these transcripts
+    under the same ``config``. A mention's cluster depends only on its
+    surface, so the turns are annotated in ONE map: it re-runs the
+    extraction kernel at ``config.rho_threshold`` (same spans) and looks
+    each surface up in a vocabulary-sized ``surface -> cluster_id`` table
+    broadcast once. A re-extracted surface missing from that table breaks
+    the contract and raises ``ValueError``. The output then takes the
+    same order tail as ``assign_clusters`` (``_output_order``).
     """
     config = config or LinkageConfig()
-    bounds = blocks_range_partitioned(transcripts, ["conv_id", "turn_idx"])
+    in_range = blocks_range_partitioned(
+        transcripts, ["conv_id", "turn_idx"]) is not None
 
-    def shrink(batch: pa.Table) -> pa.Table:
-        return batch.select(["conv_id", "turn_idx", "span_start", "span_end",
-                             "surface", "cluster_id"])
+    def distinct(batch: pa.Table) -> pa.Table:
+        return batch.select(["surface", "cluster_id"]) \
+            .group_by(["surface", "cluster_id"]).aggregate([])
 
-    # pin the small mention table: it is consumed by count() AND the join —
-    # without materialize() the entire upstream linkage lineage re-executes
-    ments = clustered.map_batches(shrink, batch_format="pyarrow").materialize()
-    n_ments = ments.count()
-    if n_ments == 0:
-        def empty_entities(batch: pa.Table) -> pa.Table:
-            ent_type = pa.list_(pa.struct([
-                ("start", pa.int32()), ("end", pa.int32()),
-                ("surface", pa.string()), ("cluster_id", pa.int64())]))
-            return batch.append_column(
-                "entities", pa.array([[]] * batch.num_rows, ent_type))
+    # combiner form: a per-block distinct, then one final distinct of the
+    # (vocabulary-sized) partials on the driver
+    parts = ray.get(clustered.map_batches(
+        distinct, batch_format="pyarrow").to_arrow_refs())
+    lookup = distinct(pa.concat_tables(
+        [_LOOKUP_SCHEMA.empty_table()] + [t for t in parts if t.num_rows]))
+    lookup_ref = ray.put(tuple(lookup.column(c).combine_chunks()
+                               for c in _LOOKUP_SCHEMA.names))
 
-        return transcripts.map_batches(empty_entities, batch_format="pyarrow") \
-                          .sort(["conv_id", "turn_idx"])
+    def annotate(batch: pa.Table) -> pa.Table:
+        lut_surface, lut_cluster = ray.get(lookup_ref)
+        texts = batch.column("text").to_pylist()
+        row, start, end, surfaces, _ = find_mentions_batch(
+            texts, config.rho_threshold)
+        surf = pa.array(surfaces, pa.string())
+        pos = pc.index_in(surf, value_set=lut_surface)
+        if pos.null_count:
+            i = pc.index(pc.is_null(pos), True).as_py()
+            key = tuple(batch.column(c)[int(row[i])].as_py()
+                        for c in ("conv_id", "turn_idx"))
+            raise ValueError(
+                f"surface {surfaces[i]!r} at (conv_id, turn_idx) {key} is "
+                "not in `clustered`: it must be run_linkage output for these "
+                "transcripts under the same config")
+        return batch.append_column("entities", row_lists(
+            row, len(texts), _ENTITY_STRUCT,
+            [pa.array(start, pa.int32()), pa.array(end, pa.int32()), surf,
+             lut_cluster.take(pos)]))
 
-    joined = hash_join(transcripts, ments, on=("conv_id", "turn_idx"),
-                       join_type="left_outer", num_partitions=config.num_hash_buckets)
-
-    # collapse the join fan-out back to one row per turn with an entity
-    # list — pure Arrow offsets: ONE sort_indices per bucket, run
-    # boundaries via numpy, pa.ListArray.from_arrays. No per-turn Python,
-    # no groupby().apply (round-1 finding: the widest table in the
-    # pipeline was collapsed with a per-group listcomp).
-    import numpy as np
-
-    from chameleon_entity_linking_ray.functions.hashing import hash64 as _h64
-
-    _MENTION_COLS = ("span_start", "span_end", "surface", "cluster_id")
-
-    if bounds is not None:
-        # bucket = first input block whose max conv covers the row, via one
-        # vectorized searchsorted over the probe's (sorted, deduped) block
-        # upper bounds. A conv spanning two input blocks still maps to ONE
-        # bucket (searchsorted is by value, not block), so the collapse
-        # never splits a turn.
-        bref = ray.put(np.unique(np.asarray([hi[0] for _, hi in bounds])))
-
-        def add_bucket(batch: pa.Table) -> pa.Table:
-            uppers = ray.get(bref)
-            conv = batch.column("conv_id").to_numpy(zero_copy_only=False)
-            if uppers.dtype.kind in ("U", "S"):
-                conv = conv.astype("U")  # fixed-width -> vectorized C compare
-            b = np.searchsorted(uppers, conv, side="left").astype(np.int32)
-            return batch.append_column("tbucket", pa.array(b, pa.int32()))
-    else:
-        def add_bucket(batch: pa.Table) -> pa.Table:
-            conv = batch.column("conv_id").to_numpy(zero_copy_only=False)
-            b = (_h64(conv) % np.uint64(config.num_hash_buckets)) \
-                .astype(np.int32)
-            return batch.append_column("tbucket", pa.array(b, pa.int32()))
-
-    ent_type = pa.list_(pa.struct([
-        ("start", pa.int32()), ("end", pa.int32()),
-        ("surface", pa.string()), ("cluster_id", pa.int64())]))
-
-    def collapse(t: pa.Table) -> pa.Table:
-        turn_cols = [c for c in t.column_names
-                     if c not in _MENTION_COLS and c != "tbucket"]
-        t = t.take(pc.sort_indices(
-            t, sort_keys=[("conv_id", "ascending"), ("turn_idx", "ascending"),
-                          ("span_start", "ascending")]))
-        n = t.num_rows
-        if n == 0:
-            empty = pa.table({c: t.column(c) for c in turn_cols})
-            return empty.append_column(
-                "entities", pa.array([], type=ent_type))
-        # turn-boundary detection via Arrow slice-compare (vectorized C
-        # string equality) — no to_pylist / object-dtype round trip
-        conv = t.column("conv_id").combine_chunks()
-        turn = t.column("turn_idx").to_numpy(zero_copy_only=False)
-        conv_ne = pc.not_equal(conv.slice(1), conv.slice(0, n - 1)) \
-            .to_numpy(zero_copy_only=False)
-        new = np.r_[True, conv_ne | (turn[1:] != turn[:-1])]
-        starts = np.flatnonzero(new)
-        valid = pc.is_valid(t.column("span_start")) \
-            .to_numpy(zero_copy_only=False)
-        vt = t.filter(pa.array(valid))
-        values = pa.StructArray.from_arrays(
-            [vt.column("span_start").combine_chunks().cast(pa.int32()),
-             vt.column("span_end").combine_chunks().cast(pa.int32()),
-             vt.column("surface").combine_chunks().cast(pa.string()),
-             vt.column("cluster_id").combine_chunks().cast(pa.int64())],
-            names=["start", "end", "surface", "cluster_id"])
-        counts = np.add.reduceat(valid.astype(np.int64), starts)
-        offsets = np.zeros(len(starts) + 1, np.int32)
-        np.cumsum(counts, out=offsets[1:])
-        entities = pa.ListArray.from_arrays(pa.array(offsets, pa.int32()),
-                                            values)
-        head = t.take(pa.array(starts)).select(turn_cols)
-        return head.append_column("entities", entities.cast(ent_type))
-
-    out = joined.map_batches(add_bucket, batch_format="pyarrow") \
-        .groupby("tbucket").map_groups(collapse, batch_format="pyarrow")
-    if bounds is not None:
-        # groupby emits buckets in KEY order (sort-based shuffle) and the
-        # collapse sorts within each bucket -> already globally ordered
-        return out
-    return out.sort(["conv_id", "turn_idx"])
+    out = transcripts.map_batches(annotate, batch_format="pyarrow",
+                                  batch_size=config.batch_size)
+    return _output_order(out, ["conv_id", "turn_idx"], in_range)
 
 
 def run_linkage(transcripts: Dataset, config: LinkageConfig | None = None,

@@ -99,6 +99,19 @@ def find_mentions_batch(texts: list[str], threshold: float):
             rho[keep].astype(np.float32))
 
 
+def row_lists(row: np.ndarray, n_rows: int, struct: pa.StructType,
+              fields: list[pa.Array]) -> pa.ListArray:
+    """One ``list<struct>`` per input row from ``find_mentions_batch``
+    output: ``fields`` are the struct's columns, one value per mention, and
+    ``row`` their (sorted) input rows — finditer emits in (row, start)
+    order, so the list offsets come from one bincount."""
+    offsets = np.zeros(n_rows + 1, np.int32)
+    np.cumsum(np.bincount(row, minlength=n_rows), out=offsets[1:])
+    values = pa.StructArray.from_arrays(fields, fields=list(struct))
+    return pa.ListArray.from_arrays(pa.array(offsets, pa.int32()), values) \
+        .cast(pa.list_(struct))
+
+
 def restore_derived(batch: pa.Table) -> pa.Table:
     """Rebuild the derivable mention columns (vectorized):
     ``mention_id = conv_id:turn_idx:span_start``, ``norm`` (when absent)
@@ -166,19 +179,11 @@ class MentionExtractor:
         row, start, end, surfaces, rho = find_mentions_batch(
             texts, self.config.rho_threshold)
         surf = pa.array(surfaces, pa.string())
-        values = pa.StructArray.from_arrays(
+        return batch.append_column("mentions", row_lists(
+            row, len(texts), MENTION_STRUCT,
             [surf, surf, pa.array(start, pa.int32()), pa.array(end, pa.int32()),
              pa.array(rho, pa.float32()),
-             pa.array(np.full(len(row), -1, np.int64), pa.int64())],
-            fields=list(MENTION_STRUCT))
-        # finditer emits in (row, start) order -> offsets via bincount
-        counts = np.bincount(row, minlength=len(texts)) if len(row) else \
-            np.zeros(len(texts), np.int64)
-        offsets = np.zeros(len(texts) + 1, np.int32)
-        np.cumsum(counts, out=offsets[1:])
-        mentions = pa.ListArray.from_arrays(pa.array(offsets, pa.int32()), values)
-        return batch.append_column(
-            "mentions", mentions.cast(pa.list_(MENTION_STRUCT)))
+             pa.array(np.full(len(row), -1, np.int64), pa.int64())]))
 
     # default map_batches entry point
     __call__ = explode

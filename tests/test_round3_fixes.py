@@ -6,6 +6,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
+import ray
 import ray.data as rd
 
 from chameleon_entity_linking_ray.config import LinkageConfig
@@ -103,8 +104,8 @@ class TestAnnotateOrder:
         return annotate_transcripts(ds, clustered, LinkageConfig()).to_pandas()
 
     def test_partitioned_equals_global_on_sorted_input(self):
-        # the probe routes the sorted turns onto the range-bucket path and
-        # the permuted ones onto the hash-bucket collapse + global sort
+        # the probe routes the sorted turns onto the per-block sort and the
+        # permuted ones onto the global sort
         transcripts, _ = make_transcripts(n_convs=25, n_entities=8, seed=5)
         tbl = transcripts.select(["conv_id", "turn_idx", "text"])
         perm = np.random.default_rng(3).permutation(tbl.num_rows)
@@ -118,10 +119,90 @@ class TestAnnotateOrder:
         b = self._run(permuted)
         assert a[["conv_id", "turn_idx", "text"]].equals(
             b[["conv_id", "turn_idx", "text"]])
-        assert a["entities"].map(len).tolist() == b["entities"].map(len).tolist()
+        assert a["entities"].map(list).tolist() == b["entities"].map(list).tolist()
+        assert a["entities"].map(len).sum() > 0
         key = a[["conv_id", "turn_idx"]]
         assert key.equals(key.sort_values(["conv_id", "turn_idx"])
                           .reset_index(drop=True))
+
+    def test_order_pinned_under_production_default(self, tmp_path):
+        # The session fixture pins preserve_order=True; production runs
+        # with it OFF, where blocks reach take_all and write_parquet in
+        # completion order. The slow low-conv blocks run in an operator
+        # that does not fuse with the annotate map (num_cpus differs), so
+        # they finish last; the annotated turns must still come back in
+        # (conv_id, turn_idx) order from a take_all and a written file set.
+        # A batch size below the block size keeps one annotate task per
+        # block; the default would coalesce this small input into one task.
+        import time as _t
+
+        import pyarrow.parquet as pq
+        from chameleon_entity_linking_ray.pipelines.linkage import (
+            annotate_transcripts,
+        )
+        transcripts, _ = make_transcripts(n_convs=40, n_entities=8, seed=5)
+        tbl = transcripts.select(["conv_id", "turn_idx", "text"])
+        cfg = LinkageConfig(batch_size=32)
+        clustered, _ = run_linkage(rd.from_arrow(tbl), cfg)
+        low = sorted(set(tbl.column("conv_id").to_pylist()))[10]
+
+        def slow_low(batch: pa.Table) -> pa.Table:
+            if batch.num_rows and batch.column("conv_id")[0].as_py() < low:
+                _t.sleep(0.5)
+            return batch
+
+        ctx = rd.DataContext.get_current()
+        saved = ctx.execution_options.preserve_order
+        ctx.execution_options.preserve_order = False
+        try:
+            turns = rd.from_arrow(tbl).repartition(8).map_batches(
+                slow_low, batch_format="pyarrow", num_cpus=0.5)
+            out = annotate_transcripts(turns, clustered, cfg)
+            out.write_parquet(str(tmp_path))
+            rows = out.take_all()
+        finally:
+            ctx.execution_options.preserve_order = saved
+        want = sorted(zip(tbl.column("conv_id").to_pylist(),
+                          tbl.column("turn_idx").to_pylist()))
+        back = pq.read_table(str(tmp_path))
+        assert list(zip(back.column("conv_id").to_pylist(),
+                        back.column("turn_idx").to_pylist())) == want
+        assert [(r["conv_id"], r["turn_idx"]) for r in rows] == want
+
+    def test_turns_without_mentions(self):
+        from chameleon_entity_linking_ray.pipelines.linkage import (
+            annotate_transcripts,
+        )
+        tbl = pa.table({"conv_id": ["b", "a", "b", "a"],
+                        "turn_idx": pa.array([1, 0, 0, 1], pa.int32()),
+                        "text": ["no names here", "all lower case",
+                                 "", "nothing to link 42"]})
+        ds = rd.from_arrow(tbl).repartition(2)
+        clustered, _ = run_linkage(ds, LinkageConfig())
+        out = pa.concat_tables(ray.get(annotate_transcripts(
+            ds, clustered, LinkageConfig()).to_arrow_refs()))
+        assert out.schema.field("entities").type == pa.list_(pa.struct([
+            ("start", pa.int32()), ("end", pa.int32()),
+            ("surface", pa.string()), ("cluster_id", pa.int64())]))
+        assert out.column("entities").to_pylist() == [[]] * 4
+        assert list(zip(out.column("conv_id").to_pylist(),
+                        out.column("turn_idx").to_pylist())) == \
+            [("a", 0), ("a", 1), ("b", 0), ("b", 1)]
+
+    def test_rejects_clustered_from_another_config(self):
+        # a higher rho threshold drops the short surfaces from `clustered`;
+        # annotating under the default re-extracts them and must say so.
+        # Ray Data re-raises the map's ValueError as a UserCodeException
+        # that carries its message.
+        from chameleon_entity_linking_ray.pipelines.linkage import (
+            annotate_transcripts,
+        )
+        transcripts, _ = make_transcripts(n_convs=10, n_entities=5, seed=7)
+        ds = rd.from_arrow(transcripts.select(["conv_id", "turn_idx", "text"]))
+        clustered, _ = run_linkage(ds, LinkageConfig(rho_threshold=0.5))
+        with pytest.raises(Exception,
+                           match=r"ValueError: surface '.+' at \(conv_id"):
+            annotate_transcripts(ds, clustered, LinkageConfig()).take_all()
 
     def test_auto_falls_back_on_interleaved(self):
         transcripts, _ = make_transcripts(n_convs=25, n_entities=8, seed=5)

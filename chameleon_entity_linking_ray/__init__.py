@@ -5,14 +5,18 @@ A from-scratch rebuild of the *semantics* of ``sadjadeb/chameleon_entity_linking
 
     read_parquet(transcripts)
       -> map_batches(extract_mentions)          # stateless, zero-copy Arrow
-      -> map_batches(minhash + LSH bands)       # stateless numpy kernels
-      -> groupby(block_key).map_groups(pairs)   # shuffle 1 (salted for skew)
-      -> groupby(pair_key)  dedup               # shuffle 2
+      -> groupby(norm) -> surface vocabulary    # shuffle 1
+      -> map_batches(minhash + LSH bands,       # stateless numpy kernels
+                     token blocks)
+      -> block_pairs: map_groups per hash(key)  # shuffle 2, hot blocks
+         bucket, then per pair-hash bucket      #   windowed; shuffle 3
+         (lowest shared key kept)               #   pair dedup (Arrow)
       -> map_batches(score_batch)               # stateless tasks (a model
                                                 #   scorer_cls: actor pool)
       -> filter(score > theta)
-      -> connected components (groupby loop)    # shuffles 3..k
-      -> join back -> sort(conv_id, turn_idx) -> write_parquet
+      -> connected components                   # driver union-find, or a
+                                                #   groupby loop (shuffles 4..k)
+      -> attach cluster ids -> order (conv_id, turn_idx) -> write_parquet
 
 See SURVEY.md for the operator-by-operator mapping to the reference.
 """

@@ -34,6 +34,7 @@ from chameleon_entity_linking_ray.functions.text import (
 )
 from chameleon_entity_linking_ray.pipelines.analytics import read_table
 from chameleon_entity_linking_ray.stages.agg import grouped_agg, grouped_top_k
+from chameleon_entity_linking_ray.stages.blocking import block_pairs
 
 
 # ---------------------------------------------------------------- text analysis
@@ -117,24 +118,11 @@ def doc_fingerprint(sf_dir: str) -> Dataset:
 
 # ---------------------------------------------------------------- dedup family
 
-def _dedup_pairs(cand: Dataset, left_col: str, right_col: str,
-                 keep_cols: list[str], num_buckets: int = 64) -> Dataset:
-    """Exact (left, right) pair dedup via a bucketed shuffle — the same pair
-    can emerge from several bands/tables/shingles; bucket by symmetric pair
-    hash, drop duplicates per bucket."""
-
-    def pbucket(batch: pa.Table) -> pa.Table:
-        l = batch.column(left_col).to_numpy(zero_copy_only=False).astype(np.uint64)
-        r = batch.column(right_col).to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = (mix64(l ^ mix64(r, seed=3), seed=9) %
-             np.uint64(num_buckets)).astype(np.int32)
-        return batch.append_column("pbucket", pa.array(b, pa.int32()))
-
-    def dedup(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates([left_col, right_col])[keep_cols]
-
-    return cand.map_batches(pbucket, batch_format="pyarrow") \
-        .groupby("pbucket").map_groups(dedup, batch_format="pandas")
+def _id_pairs(pairs: Dataset, name: str) -> Dataset:
+    """``stages.blocking.block_pairs`` output (deduped, canonical) as the
+    ``(left_<name>, right_<name>)`` candidate table."""
+    return pairs.select_columns(["left_id", "right_id"]).rename_columns(
+        {"left_id": f"left_{name}", "right_id": f"right_{name}"})
 
 
 def _exact_jaccard_tbl(batch: pa.Table, lt: list, rt: list, k: int,
@@ -285,8 +273,8 @@ def minhash_dup_pairs(sf_dir: str, threshold: float = 0.5, k: int = 8,
                       max_block: int = 64, window: int = 8) -> Dataset:
     """MinHash+LSH near-duplicate pairs over documents, disposed by EXACT
     char-k-shingle Jaccard >= threshold (value-verifiable): shingle ->
-    minhash -> band -> bucket-groupby -> per-band pair gen -> cross-band
-    dedup -> exact-Jaccard filter (the shared segment-sort kernel).
+    minhash -> band -> ``block_pairs`` (per-band pair gen, cross-band
+    dedup) -> exact-Jaccard filter (the shared segment-sort kernel).
 
     Emitting the exact Jaccard (not the signature estimate) makes the
     output a deterministic function of the input MODULO candidate recall,
@@ -302,7 +290,6 @@ def minhash_dup_pairs(sf_dir: str, threshold: float = 0.5, k: int = 8,
     Skew control as in stages/blocking.py: band blocks above ``max_block``
     members (low-information bands — everything collides) switch from
     all-pairs to windowed pairing over id-sorted members."""
-    from chameleon_entity_linking_ray.stages.blocking import _run_pairs
     c = config or LinkageConfig()
     docs = read_table(sf_dir, "documents", ["doc_id", "text"]).materialize()
 
@@ -317,28 +304,11 @@ def minhash_dup_pairs(sf_dir: str, threshold: float = 0.5, k: int = 8,
         return pa.table({
             "doc_id": pa.array(ids, pa.int64()),
             "block_key": pa.array(flat.view(np.int64), pa.int64()),
-            "bucket": pa.array((mix64(flat, seed=51) % np.uint64(64))
-                               .astype(np.int32), pa.int32()),
         })
 
-    def pairs(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop_duplicates(["block_key", "doc_id"]) \
-             .sort_values(["block_key", "doc_id"], kind="mergesort")
-        ids = g["doc_id"].to_numpy()
-        _, counts = np.unique(g["block_key"].to_numpy(), return_counts=True)
-        li, ri = _run_pairs(counts, window, max_block)
-        if len(li) == 0:
-            return pd.DataFrame({"left_doc": pd.Series(dtype=np.int64),
-                                 "right_doc": pd.Series(dtype=np.int64)})
-        out = pd.DataFrame({"left_doc": np.minimum(ids[li], ids[ri]),
-                            "right_doc": np.maximum(ids[li], ids[ri])})
-        return out.drop_duplicates()
-
-    cand = docs.map_batches(band, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(pairs, batch_format="pandas")
-    cand = _dedup_pairs(cand, "left_doc", "right_doc",
-                        ["left_doc", "right_doc"])
-    return exact_jaccard_filter(cand, docs, k, threshold)
+    cand = block_pairs(docs.map_batches(band, batch_format="pyarrow"),
+                       "doc_id", "block_key", window, max_block)
+    return exact_jaccard_filter(_id_pairs(cand, "doc"), docs, k, threshold)
 
 
 def _simhash_u64(texts: list[str]) -> np.ndarray:
@@ -440,7 +410,6 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.5, k: int = 8,
     scale alternative. Shingle semantics match SQL ``substring(text,i,k)``
     exactly (``flat_char_shingles``: char-based, no padding)."""
     from chameleon_entity_linking_ray.functions.hashing import flat_char_shingles
-    from chameleon_entity_linking_ray.stages.blocking import _run_pairs
     from chameleon_entity_linking_ray.stages.joins import semi_join_ds
 
     docs = read_table(sf_dir, "documents", ["doc_id", "text"])
@@ -463,26 +432,8 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.5, k: int = 8,
     rare_sh = semi_join_ds(sh, rare, "h")
 
     # candidate pairs: all-pairs within each rare shingle's doc list
-    def add_hbucket(batch: pa.Table) -> pa.Table:
-        hv = batch.column("h").to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = (mix64(hv, seed=57) % np.uint64(64)).astype(np.int32)
-        return batch.append_column("bucket", pa.array(b, pa.int32()))
-
-    def pairs(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["h", "doc_id"], kind="mergesort")
-        _, counts = np.unique(g["h"].to_numpy(), return_counts=True)
-        li, ri = _run_pairs(counts, window=0, max_block=df_cap + 1)
-        ids = g["doc_id"].to_numpy()
-        out = pd.DataFrame({"left_doc": ids[li], "right_doc": ids[ri]})
-        return out.drop_duplicates() if len(out) else \
-            pd.DataFrame({"left_doc": pd.Series(dtype=np.int64),
-                          "right_doc": pd.Series(dtype=np.int64)})
-
-    cand = rare_sh.map_batches(add_hbucket, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(pairs, batch_format="pandas")
-    cand = _dedup_pairs(cand, "left_doc", "right_doc",
-                        ["left_doc", "right_doc"])
-    return exact_jaccard_filter(cand, docs, k, threshold)
+    cand = block_pairs(rare_sh, "doc_id", "h", window=0, max_block=df_cap + 1)
+    return exact_jaccard_filter(_id_pairs(cand, "doc"), docs, k, threshold)
 
 
 # ---------------------------------------------------------------- similarity search
@@ -671,10 +622,10 @@ def embedding_near_dups_lsh(sf_dir: str, threshold: float = 0.35,
     emb = read_table(sf_dir, "embeddings", ["vec_id", "embedding"]).materialize()
     mat_ref = broadcast_embedding_matrix(emb)
 
-    # buckets ride as (vec_id, table*2^planes + bits) — embeddings do NOT
-    # ride the n_tables-x shuffle; the exact-cosine stage reads the
+    # LSH buckets ride as (vec_id, table*2^planes + bits) — embeddings do
+    # NOT ride the n_tables-x shuffle; the exact-cosine stage reads the
     # broadcast matrix instead
-    def add_buckets(batch: pa.Table) -> pa.Table:
+    def lsh_keys(batch: pa.Table) -> pa.Table:
         mat = np.stack(batch.column("embedding").to_pylist()).astype(np.float64)
         mat /= np.maximum(np.linalg.norm(mat, axis=1, keepdims=True), 1e-12)
         planes = np.random.RandomState(seed).randn(n_tables * n_planes,
@@ -687,30 +638,12 @@ def embedding_near_dups_lsh(sf_dir: str, threshold: float = 0.35,
         rep = np.repeat(ids, n_tables)
         return pa.table({
             "vec_id": pa.array(rep, pa.int64()),
-            "bucket": pa.array(bucket.reshape(-1), pa.int64()),
-            "gbucket": pa.array((mix64(bucket.reshape(-1).astype(np.uint64),
-                                       seed=63) % np.uint64(64))
-                                .astype(np.int32), pa.int32()),
+            "lsh_key": pa.array(bucket.reshape(-1), pa.int64()),
         })
 
-    def pairs(g: pd.DataFrame) -> pd.DataFrame:
-        from chameleon_entity_linking_ray.stages.blocking import _run_pairs
-        g = g.drop_duplicates(["bucket", "vec_id"]) \
-             .sort_values(["bucket", "vec_id"], kind="mergesort")
-        ids = g["vec_id"].to_numpy()
-        _, counts = np.unique(g["bucket"].to_numpy(), return_counts=True)
-        li, ri = _run_pairs(counts, window=64, max_block=max_bucket)
-        if len(li) == 0:
-            return pd.DataFrame({"left_vec": pd.Series(dtype=np.int64),
-                                 "right_vec": pd.Series(dtype=np.int64)})
-        return pd.DataFrame({"left_vec": np.minimum(ids[li], ids[ri]),
-                             "right_vec": np.maximum(ids[li], ids[ri])}) \
-            .drop_duplicates()
-
-    cand = emb.map_batches(add_buckets, batch_format="pyarrow") \
-        .groupby("gbucket").map_groups(pairs, batch_format="pandas")
-    cand = _dedup_pairs(cand, "left_vec", "right_vec",
-                        ["left_vec", "right_vec"])
+    cand = _id_pairs(block_pairs(
+        emb.map_batches(lsh_keys, batch_format="pyarrow"), "vec_id",
+        "lsh_key", window=64, max_block=max_bucket), "vec")
 
     def exact_cosine(batch: pa.Table) -> pa.Table:
         ids, mat = ray.get(mat_ref)  # ids sorted by _assemble_matrix
@@ -1150,6 +1083,7 @@ def edit_distance_pairs(sf_dir: str, cap: int = 10,
     colors/adjectives vocabulary); for open-vocabulary corpora reuse the
     rare-shingle df-cap blocking of ngram_jaccard_pairs instead.
     """
+    from chameleon_entity_linking_ray.stages.blocking import _run_pairs
     from chameleon_entity_linking_ray.stages.scoring import levenshtein_batch
 
     part = read_table(sf_dir, "part", ["p_partkey", "p_name"])
@@ -1178,21 +1112,10 @@ def edit_distance_pairs(sf_dir: str, cap: int = 10,
         tok = g["tok"].to_numpy()
         keys = g["p_partkey"].to_numpy()
         names = g["p_name"].to_numpy()
-        # segment all-pairs: for anchor i, partners i+1..seg_end-1
-        new_seg = np.r_[True, tok[1:] != tok[:-1]]
-        seg_id = np.cumsum(new_seg) - 1
-        seg_starts = np.flatnonzero(new_seg)
-        seg_sizes = np.diff(np.r_[seg_starts, n])
-        seg_end = (seg_starts + seg_sizes)[seg_id]
-        idx = np.arange(n)
-        counts = seg_end - idx - 1
-        total = int(counts.sum())
-        if total == 0:
-            return out_empty
-        idx_a = np.repeat(idx, counts)
-        starts = np.cumsum(counts) - counts
-        idx_b = np.arange(total) - np.repeat(starts, counts) \
-            + np.repeat(idx + 1, counts)
+        # all pairs within each run of equal first tokens
+        seg_starts = np.flatnonzero(np.r_[True, tok[1:] != tok[:-1]])
+        idx_a, idx_b = _run_pairs(np.diff(np.r_[seg_starts, n]), window=0,
+                                  max_block=n + 1)
         # length prefilter bounds the DP width and kills most pairs
         ln = np.fromiter(map(len, names), np.int64, n)
         keep = np.abs(ln[idx_a] - ln[idx_b]) <= cap
@@ -1973,7 +1896,6 @@ def tf_cosine_pairs(sf_dir: str, threshold: float = 0.6,
     driver (Ray cannot keep a 0-row Dataset's schema through
     ``to_pandas``); callers accept ``Dataset | pa.Table``.
     """
-    from chameleon_entity_linking_ray.stages.blocking import _run_pairs
     from chameleon_entity_linking_ray.stages.joins import semi_join_ds
 
     docs = read_table(sf_dir, "documents", ["doc_id", "text"])
@@ -2021,26 +1943,8 @@ def tf_cosine_pairs(sf_dir: str, threshold: float = 0.6,
         .filter(expr=f"df <= {df_cap}").select_columns(["tok"])
     rare_tk = semi_join_ds(tk, rare, "tok")
 
-    def add_tbucket(batch: pa.Table) -> pa.Table:
-        h = hash64(np.asarray(batch.column("tok").to_pylist(),
-                              dtype=object))
-        b = (mix64(h, seed=73) % np.uint64(64)).astype(np.int32)
-        return batch.append_column("bucket", pa.array(b, pa.int32()))
-
-    def pairs(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["tok", "doc_id"], kind="mergesort")
-        _, counts = np.unique(g["tok"].to_numpy(), return_counts=True)
-        li, ri = _run_pairs(counts, window=0, max_block=df_cap + 1)
-        ids = g["doc_id"].to_numpy()
-        out = pd.DataFrame({"left_doc": ids[li], "right_doc": ids[ri]})
-        return out.drop_duplicates() if len(out) else \
-            pd.DataFrame({"left_doc": pd.Series(dtype=np.int64),
-                          "right_doc": pd.Series(dtype=np.int64)})
-
-    cand = rare_tk.map_batches(add_tbucket, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(pairs, batch_format="pandas")
-    cand = _dedup_pairs(cand, "left_doc", "right_doc",
-                        ["left_doc", "right_doc"])
+    cand = _id_pairs(block_pairs(rare_tk, "doc_id", "tok", window=0,
+                                 max_block=df_cap + 1), "doc")
 
     def _cosine_rows(pairs_tbl: pa.Table, lt, rt) -> pa.Table:
         memo: dict[str, tuple] = {}

@@ -7,8 +7,8 @@ optional per-stage checkpoints:
       -> map_batches(MentionExtractor)                 # stateless, Arrow
       -> groupby(norm).count()   = surface vocabulary  # SHUFFLE 1
       -> map_batches(LshBander)  bands + token blocks  # stateless numpy
-      -> groupby(bucket).map_groups(make_pairs)        # SHUFFLE 2 (skew-capped)
-      -> groupby(pbucket).map_groups(dedup)            # SHUFFLE 3 pair dedup
+      -> block_pairs: Arrow map_groups per key bucket  # SHUFFLE 2 (skew-capped)
+         then per pair-hash bucket, lowest key kept    # SHUFFLE 3 pair dedup
       -> map_batches(score_batch) + broadcast IDF      # stateless tasks, fused
       -> filter(score > theta) -> edges                #   with the edge filter
       -> connected_components(...)                     # SHUFFLE 4..k (or driver UF)
@@ -46,12 +46,7 @@ import ray.data
 from ray.data import Dataset
 
 from chameleon_entity_linking_ray.config import LinkageConfig
-from chameleon_entity_linking_ray.stages.blocking import (
-    LshBander,
-    add_pair_bucket,
-    dedup_pairs_fn,
-    make_pair_generator,
-)
+from chameleon_entity_linking_ray.stages.blocking import LshBander, block_pairs
 from chameleon_entity_linking_ray.stages.cluster import connected_components
 from chameleon_entity_linking_ray.stages.extract import (
     MentionExtractor,
@@ -80,16 +75,17 @@ def extract_mentions(transcripts: Dataset, config: LinkageConfig) -> Dataset:
 
 
 def generate_pairs(vocab: Dataset, config: LinkageConfig) -> Dataset:
+    """Deduped candidate pairs ``(left_id, right_id, left_text, right_text,
+    block_key)`` of the surface vocabulary. Hot blocks pair lexicographic
+    neighbors (sort by surface); the texts ride along so scoring needs no
+    join back to the vocab (SURVEY.md J1)."""
     banded = vocab.map_batches(
         LshBander(config), batch_format="pyarrow", batch_size=config.batch_size)
-    # SHUFFLE: bucketed by hash(block_key) — vectorized pair-gen per bucket
-    pairs = banded.groupby("bucket").map_groups(
-        make_pair_generator(config), batch_format="pandas")
-    # SHUFFLE: bucketed by hash(pair key) — vectorized exact dedup
-    pairs = pairs.map_batches(add_pair_bucket(config.num_hash_buckets),
-                              batch_format="pyarrow")
-    return pairs.groupby("pbucket").map_groups(
-        dedup_pairs_fn(), batch_format="pandas").drop_columns(["pbucket"])
+    return block_pairs(
+        banded, "node", "block_key", config.pair_window, config.max_block_size,
+        sort_col="norm", carry_col="norm",
+        num_buckets=config.num_hash_buckets,
+    ).rename_columns({"left_norm": "left_text", "right_norm": "right_text"})
 
 
 def score_pairs(pairs: Dataset, config: LinkageConfig, stats_ref=None,
@@ -190,16 +186,12 @@ def _local_sort(ds: Dataset, keys: list[str]) -> Dataset:
     return ds.map_batches(psort, batch_format="pyarrow", batch_size=None)
 
 
-def blocks_range_partitioned(ds: Dataset, keys: list[str] | None = None
-                             ) -> list[tuple[tuple, tuple]] | None:
+def blocks_range_partitioned(ds: Dataset, keys: list[str] | None = None) -> bool:
     """Validate the range-partition contract the per-block sort relies on:
     per block, emit the min and max composite sort key (one Arrow
     sort_indices per block — no data movement); the per-block sort yields a
-    globally stable order iff consecutive block boundaries are
-    non-decreasing in Dataset block order.
-
-    Returns the per-block ``(lo, hi)`` key tuples in LOGICAL block order
-    (empty blocks omitted) when the contract holds, else ``None``."""
+    globally stable order iff consecutive block boundaries, read in LOGICAL
+    block order with empty blocks skipped, are non-decreasing."""
     keys = keys or _OUT_KEYS
     # prune to the key columns: pushes projection into a parquet read and
     # shrinks the per-block sort_indices input on wide tables
@@ -227,9 +219,7 @@ def blocks_range_partitioned(ds: Dataset, keys: list[str] | None = None
         Dataset.take_all)
     out = [(tuple(r[f"{k}_lo"] for k in keys), tuple(r[f"{k}_hi"] for k in keys))
            for r in rows]
-    if any(lo < prev_hi for (_, prev_hi), (lo, _) in zip(out, out[1:])):
-        return None
-    return out
+    return all(lo >= prev_hi for (_, prev_hi), (lo, _) in zip(out, out[1:]))
 
 
 def assign_clusters(mentions: Dataset, assignments: Dataset,
@@ -251,7 +241,7 @@ def assign_clusters(mentions: Dataset, assignments: Dataset,
     from chameleon_entity_linking_ray.stages.cluster import attach_assignments
     from chameleon_entity_linking_ray.stages.extract import restore_derived
 
-    in_range = blocks_range_partitioned(mentions) is not None
+    in_range = blocks_range_partitioned(mentions)
     # counted here and in the attach, then read once: pin it
     assignments = assignments.materialize()
     with_node = mentions.map_batches(add_node_column(), batch_format="pyarrow")
@@ -294,8 +284,7 @@ def annotate_transcripts(transcripts: Dataset, clustered: Dataset,
     same order tail as ``assign_clusters`` (``_output_order``).
     """
     config = config or LinkageConfig()
-    in_range = blocks_range_partitioned(
-        transcripts, ["conv_id", "turn_idx"]) is not None
+    in_range = blocks_range_partitioned(transcripts, ["conv_id", "turn_idx"])
 
     def distinct(batch: pa.Table) -> pa.Table:
         return batch.select(["surface", "cluster_id"]) \

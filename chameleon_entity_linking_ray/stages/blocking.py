@@ -1,9 +1,10 @@
-"""MinHash-LSH + token blocking, and candidate-pair generation.
+"""MinHash-LSH + token blocking, and the blocked-pair primitive.
 
 The scalable replacement for the reference's candidate generation (BM25 run
 file blocking, /root/reference/BiEncoder/test.py:63-79, and FAISS top-k,
 /root/reference/BiEncoder/test_retrieval.py:43-76). Two complementary
-stateless blockers run in one ``map_batches`` over the surface vocabulary:
+stateless blockers run in one ``map_batches`` over the surface vocabulary
+(``LshBander``):
 
 - **LSH bands** over char-shingle MinHash — catch typo variants (high
   Jaccard, e.g. "wayne industries" ~ "wbyne industries");
@@ -11,26 +12,34 @@ stateless blockers run in one ``map_batches`` over the surface vocabulary:
   abbreviation variants whose char Jaccard is low (e.g. "hooli" ~
   "hooli industries" share the token block "hooli").
 
-Shuffle design: grouping by raw ``block_key`` would make millions of tiny
-groups and pay a Python call per group. Instead rows are shuffled by
-``bucket = hash(block_key) % num_hash_buckets`` — every member of a block
-lands in the same bucket, ``map_groups`` runs once per BUCKET, and pair
-generation inside is pure vectorized numpy over runs of equal block keys
-(no per-block Python loop).
+``block_pairs`` turns any (id, block key) table into canonical candidate
+pairs; the flagship and the corpus pair operators (MinHash, rare-shingle,
+embedding-LSH and rare-token blocking) all run through it. Shuffle
+design: grouping by the raw key would make millions of tiny groups and
+pay a Python call per group. Instead rows are shuffled by
+``hash(key) % num_buckets`` — every member of a block lands in the same
+bucket, the Arrow ``map_groups`` runs once per BUCKET, and pair
+generation inside is vectorized numpy over runs of equal keys
+(``_run_pairs``, no per-block Python loop). A second Arrow ``map_groups``,
+bucketed by a hash of the pair, removes the pairs found in several blocks
+and keeps the lowest shared key.
 
-Skew handling (SURVEY.md §4): blocks larger than ``max_block_size`` (hot
-tokens — a tool name in every transcript) switch from all-pairs to windowed
-pairing over the lexicographically sorted members — each member pairs with
-its next ``pair_window`` neighbors, capping pairs at n*W instead of n^2/2
-while keeping near-identical surfaces (sort-adjacent) paired; rare-token
-blocks and LSH bands provide the high-recall candidates.
+Skew handling (SURVEY.md §4): blocks larger than ``max_block`` (hot
+tokens — a tool name in every transcript) switch from all-pairs to
+windowed pairing over the sorted members — each member pairs with its
+next ``window`` neighbors, capping pairs at n*W instead of n^2/2. The
+flagship sorts members by surface text, so near-identical surfaces sit
+adjacent and stay paired; rare-token blocks and LSH bands provide the
+high-recall candidates.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data
 from ray.data import Dataset
@@ -42,19 +51,15 @@ from chameleon_entity_linking_ray.stages.order import in_logical_order
 
 
 class LshBander:
-    """map_batches over the vocab: one row per (surface, band) and per
-    (surface, token) + shuffle bucket. id col is int64 ``node``."""
+    """map_batches over the vocab (int64 ``node``, ``norm``): one row per
+    (surface, band) and per (surface, token), keyed by ``block_key``."""
 
-    def __init__(self, config: LinkageConfig | None = None, id_col: str = "node",
-                 text_col: str = "norm", token_blocks: bool = True):
+    def __init__(self, config: LinkageConfig | None = None):
         self.c = config or LinkageConfig()
-        self.id_col = id_col
-        self.text_col = text_col
-        self.token_blocks = token_blocks
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         c = self.c
-        texts = batch.column(self.text_col).to_pylist()
+        texts = batch.column("norm").to_pylist()
         n = len(texts)
         sigs = minhash_signatures(texts, c.shingle_k, c.num_perm, c.minhash_seed)
         keys = lsh_band_keys(sigs, c.num_bands, c.minhash_seed)  # [n, bands] uint64
@@ -62,23 +67,20 @@ class LshBander:
         rep = np.repeat(np.arange(n, dtype=np.int64), bands)
         flat_keys = keys.reshape(-1)
 
-        if self.token_blocks:
-            token_lists = [list(dict.fromkeys(t.split())) for t in texts]
-            counts = np.fromiter((len(t) for t in token_lists), dtype=np.int64, count=n)
-            if counts.sum():
-                toks = [tok for ts in token_lists for tok in ts]
-                tok_keys = mix64(hash64(toks), seed=101)
-                tok_rep = np.repeat(np.arange(n, dtype=np.int64), counts)
-                rep = np.concatenate([rep, tok_rep])
-                flat_keys = np.concatenate([flat_keys, tok_keys])
+        token_lists = [list(dict.fromkeys(t.split())) for t in texts]
+        counts = np.fromiter((len(t) for t in token_lists), dtype=np.int64, count=n)
+        if counts.sum():
+            toks = [tok for ts in token_lists for tok in ts]
+            tok_keys = mix64(hash64(toks), seed=101)
+            tok_rep = np.repeat(np.arange(n, dtype=np.int64), counts)
+            rep = np.concatenate([rep, tok_rep])
+            flat_keys = np.concatenate([flat_keys, tok_keys])
 
         take = pa.array(rep)
         return pa.table({
-            self.id_col: batch.column(self.id_col).take(take),
-            self.text_col: batch.column(self.text_col).take(take),
+            "node": batch.column("node").take(take),
+            "norm": batch.column("norm").take(take),
             "block_key": pa.array(flat_keys.view(np.int64), pa.int64()),
-            "bucket": pa.array((mix64(flat_keys, seed=11) %
-                                np.uint64(c.num_hash_buckets)).astype(np.int32), pa.int32()),
         })
 
 
@@ -106,62 +108,91 @@ def _run_pairs(counts: np.ndarray, window: int, max_block: int) -> tuple[np.ndar
     return li, ri
 
 
-def make_pair_generator(config: LinkageConfig | None = None, id_col: str = "node",
-                        text_col: str = "norm"):
-    """Per-BUCKET pandas fn for ``groupby('bucket').map_groups``.
-
-    Emits canonical (left_id < right_id) candidate pairs carrying both
-    texts so scoring needs no join back to the vocab table (SURVEY.md J1:
-    "carry texts through blocking to avoid the join entirely"). Pairs can
-    repeat across blocks; ``dedup_pairs_fn`` removes them before scoring.
-    """
-    c = config or LinkageConfig()
-
-    def make_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        # members sorted by surface: windowed pairing in hot blocks then
-        # pairs lexicographic neighbors (near-identical surfaces adjacent)
-        g = g.drop_duplicates(subset=["block_key", id_col]) \
-             .sort_values(["block_key", text_col], kind="mergesort")
-        bk = g["block_key"].to_numpy()
-        _, counts = np.unique(bk, return_counts=True)
-        li, ri = _run_pairs(counts, c.pair_window, c.max_block_size)
-        if len(li) == 0:
-            return pd.DataFrame({
-                "left_id": pd.Series(dtype=np.int64),
-                "right_id": pd.Series(dtype=np.int64),
-                "left_text": pd.Series(dtype=object),
-                "right_text": pd.Series(dtype=object),
-                "block_key": pd.Series(dtype=np.int64),
-            })
-        ids = g[id_col].to_numpy()
-        texts = g[text_col].to_numpy()
-        lid, rid = ids[li], ids[ri]
-        lt, rt = texts[li], texts[ri]
-        flip = lid > rid
-        lid2 = np.where(flip, rid, lid)
-        rid2 = np.where(flip, lid, rid)
-        lt2 = np.where(flip, rt, lt)
-        rt2 = np.where(flip, lt, rt)
-        return pd.DataFrame({
-            "left_id": lid2, "right_id": rid2,
-            "left_text": lt2, "right_text": rt2,
-            "block_key": bk[li],
-        })
-
-    return make_pairs
+def _same_as_prev(col) -> np.ndarray:
+    """Per row of a sorted column: equal to the row before it."""
+    n = len(col)
+    if n < 2:
+        return np.zeros(n, bool)
+    eq = pc.equal(col.slice(1), col.slice(0, n - 1))
+    return np.r_[False, eq.to_numpy(zero_copy_only=False)]
 
 
-def add_pair_bucket(num_buckets: int):
-    """Vectorized pair-key bucket column for the dedup shuffle."""
+def _bucket_of(h: np.ndarray, num_buckets: int) -> pa.Array:
+    return pa.array((h % np.uint64(num_buckets)).astype(np.int32), pa.int32())
 
-    def fn(batch: pa.Table) -> pa.Table:
-        left = batch.column("left_id").to_numpy(zero_copy_only=False).astype(np.uint64)
-        right = batch.column("right_id").to_numpy(zero_copy_only=False).astype(np.uint64)
-        h = mix64(left ^ mix64(right, seed=23), seed=29)
-        return batch.append_column(
-            "pbucket", pa.array((h % np.uint64(num_buckets)).astype(np.int32), pa.int32()))
 
-    return fn
+def _first_per_pair(t: pa.Table, key_col: str) -> pa.Table:
+    """One row per (left_id, right_id): the one with the lowest key — the
+    reference run merge's keep-first (/root/reference/utils/merge_results.py:14-20)."""
+    t = t.take(pc.sort_indices(t, sort_keys=[
+        ("left_id", "ascending"), ("right_id", "ascending"),
+        (key_col, "ascending")]))
+    dup = _same_as_prev(t.column("left_id")) & _same_as_prev(t.column("right_id"))
+    return t.filter(pa.array(~dup)) if dup.any() else t
+
+
+def _bucket_pairs(t: pa.Table, id_col: str, key_col: str, window: int,
+                  max_block: int, sort_col: str | None, carry_col: str | None,
+                  num_buckets: int) -> pa.Table:
+    """All candidate pairs of one key bucket, deduped within the bucket and
+    tagged with the pair-hash bucket of the dedup shuffle."""
+    order = [key_col] + ([sort_col] if sort_col else []) + [id_col]
+    t = t.take(pc.sort_indices(t, sort_keys=[(c, "ascending") for c in order]))
+    # distinct on (key, id): sort_col is a per-id attribute, so repeats of
+    # one (key, id) sit adjacent
+    same_key = _same_as_prev(t.column(key_col))
+    dup = same_key & _same_as_prev(t.column(id_col))
+    if dup.any():
+        t, same_key = t.filter(pa.array(~dup)), same_key[~dup]
+    starts = np.flatnonzero(~same_key)
+    li, ri = _run_pairs(np.diff(np.r_[starts, t.num_rows]), window, max_block)
+    ids = t.column(id_col)
+    idv = ids.to_numpy(zero_copy_only=False)
+    flip = idv[li] > idv[ri]
+    lo, hi = np.where(flip, ri, li), np.where(flip, li, ri)
+    cols = {"left_id": ids.take(lo), "right_id": ids.take(hi)}
+    if carry_col:
+        carry = t.column(carry_col)
+        cols[f"left_{carry_col}"] = carry.take(lo)
+        cols[f"right_{carry_col}"] = carry.take(hi)
+    cols[key_col] = t.column(key_col).take(li)
+    h = mix64(idv[lo].astype(np.uint64) ^ mix64(idv[hi], seed=23), seed=29)
+    cols["__pbucket"] = _bucket_of(h, num_buckets)
+    return _first_per_pair(pa.table(cols), key_col)
+
+
+def block_pairs(rows: Dataset, id_col: str, key_col: str, window: int,
+                max_block: int, sort_col: str | None = None,
+                carry_col: str | None = None, num_buckets: int = 64) -> Dataset:
+    """Candidate pairs of ``rows`` that share a ``key_col`` value.
+
+    Every distinct (key, id) row joins its key's block; a block of up to
+    ``max_block`` members pairs all its members, a larger one pairs each
+    member with its next ``window`` members in (``sort_col``, id) order.
+    ``id_col`` holds integers; ``sort_col`` and ``carry_col`` are per-id
+    attributes. Output: one row per distinct pair, ``left_id < right_id``,
+    with ``left_/right_<carry_col>`` when asked and the lowest ``key_col``
+    the two share.
+
+    Dataflow: one Arrow ``map_groups`` over ``hash(key) % num_buckets``
+    pairs each bucket; a second one, over a hash of the pair, dedups the
+    pairs found in several blocks."""
+
+    def key_bucket(batch: pa.Table) -> pa.Table:
+        key = batch.column(key_col)
+        h = mix64(key.to_numpy(zero_copy_only=False), seed=11) \
+            if pa.types.is_integer(key.type) else hash64(key.to_pylist())
+        return batch.append_column("__bucket", _bucket_of(h, num_buckets))
+
+    def dedup(g: pa.Table) -> pa.Table:
+        return _first_per_pair(g, key_col).drop_columns(["__pbucket"])
+
+    pairs = partial(_bucket_pairs, id_col=id_col, key_col=key_col,
+                    window=window, max_block=max_block, sort_col=sort_col,
+                    carry_col=carry_col, num_buckets=num_buckets)
+    return rows.map_batches(key_bucket, batch_format="pyarrow") \
+        .groupby("__bucket").map_groups(pairs, batch_format="pyarrow") \
+        .groupby("__pbucket").map_groups(dedup, batch_format="pyarrow")
 
 
 @ray.remote(num_cpus=0.25)
@@ -234,7 +265,7 @@ def sorted_neighborhood_pairs(ds: Dataset, key_col: str, id_col: str,
     complement to LSH/token blocking when near-duplicates sort adjacently
     (names, addresses) — pair count is O(n * window), skew-proof by
     construction (a hot key contributes windowed pairs only, exactly the
-    ``max_block_size`` fallback in ``make_pair_generator``).
+    ``max_block`` fallback of ``block_pairs``).
 
     Dataflow: ONE range-shuffle sort on ``(key, id)`` (the id tie-break
     makes the total order — and therefore the pair set — deterministic
@@ -260,14 +291,3 @@ def sorted_neighborhood_pairs(ds: Dataset, key_col: str, id_col: str,
         prev = _snm_tail.remote(prev, r, window - 1)
     return ray.data.from_arrow_refs(pair_refs)
 
-
-def dedup_pairs_fn():
-    """Per-BUCKET exact pair dedup (vectorized pandas drop_duplicates);
-    keep-first by lowest block_key — same keep-first semantics as the
-    reference's run merge (/root/reference/utils/merge_results.py:14-20)."""
-
-    def first(g: pd.DataFrame) -> pd.DataFrame:
-        return g.sort_values(["left_id", "right_id", "block_key"], kind="mergesort") \
-                .drop_duplicates(subset=["left_id", "right_id"], keep="first")
-
-    return first

@@ -1,17 +1,18 @@
 """Blocking + pair generation tests: canonical ordering, no self-pairs,
-dedup, windowed skew capping, and brute-force recall oracle."""
+dedup keeping the lowest key, windowed skew capping in sort order, and the
+typed empty result."""
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import ray.data as rd
 
 from chameleon_entity_linking_ray.config import LinkageConfig
 from chameleon_entity_linking_ray.functions.hashing import node_id
 from chameleon_entity_linking_ray.stages.blocking import (
     LshBander,
+    _bucket_pairs,
     _run_pairs,
-    dedup_pairs_fn,
-    make_pair_generator,
+    block_pairs,
 )
 
 
@@ -45,14 +46,13 @@ class TestRunPairs:
 
 class TestPairGeneration:
     def _pairs_for(self, norms, cfg=None):
+        # the flagship's call shape (pipelines.linkage.generate_pairs)
         cfg = cfg or LinkageConfig()
-        banded = LshBander(cfg)(vocab_batch(norms)).to_pandas()
-        gen = make_pair_generator(cfg)
-        out = [gen(g) for _, g in banded.groupby("bucket")]
-        df = pd.concat(out, ignore_index=True) if out else pd.DataFrame()
-        if len(df):
-            df = dedup_pairs_fn()(df)
-        return df
+        banded = rd.from_arrow(LshBander(cfg)(vocab_batch(norms)))
+        return block_pairs(banded, "node", "block_key", cfg.pair_window,
+                           cfg.max_block_size, sort_col="norm",
+                           carry_col="norm",
+                           num_buckets=cfg.num_hash_buckets).to_pandas()
 
     def test_no_self_pairs_canonical_order(self):
         df = self._pairs_for(["acme industries", "acme ind", "acme", "globex corp"])
@@ -83,5 +83,45 @@ class TestPairGeneration:
         df = self._pairs_for(norms, cfg)
         # token block "hotword" has 50 members: windowed => <= ~n*W per block
         # (each surface also collides in other blocks; bound is loose but
-    # far below the all-pairs 1225)
+        # far below the all-pairs 1225)
         assert 0 < len(df) < 400
+
+    def test_dedup_keeps_lowest_shared_key(self):
+        # ids 1 and 2 share four keys (signed: -4 is the lowest), id 3 only
+        # one; rows repeat, and the keys spread over several buckets
+        rows = pa.table({"id": pa.array([1, 2, 1, 2, 1, 2, 1, 2, 3, 2, 2],
+                                        pa.int64()),
+                         "key": pa.array([7, 7, -4, -4, 2, 2, 9, 9, 9, 9, -4],
+                                         pa.int64())})
+        out = block_pairs(rd.from_arrow(rows), "id", "key", window=8,
+                          max_block=64, num_buckets=3).to_pandas() \
+            .sort_values(["left_id", "right_id"]).reset_index(drop=True)
+        assert out[["left_id", "right_id", "key"]].values.tolist() == \
+            [[1, 2, -4], [1, 3, 9], [2, 3, 9]]
+
+    def test_hot_block_window_follows_sort_col(self):
+        # one block of 6 > max_block: each member pairs with its next
+        # neighbour in TEXT order (a b c d e f), not in id order
+        rows = pa.table({"id": pa.array(range(6), pa.int64()),
+                         "key": pa.array([5] * 6, pa.int64()),
+                         "text": ["c", "a", "f", "b", "e", "d"]})
+        out = block_pairs(rd.from_arrow(rows), "id", "key", window=1,
+                          max_block=2, sort_col="text",
+                          carry_col="text").to_pandas()
+        assert set(zip(out["left_id"], out["right_id"])) == \
+            {(1, 3), (0, 3), (0, 5), (4, 5), (2, 4)}
+        # carried texts follow their ids through the canonical swap
+        text = dict(zip(rows["id"].to_pylist(), rows["text"].to_pylist()))
+        assert out["left_text"].tolist() == out["left_id"].map(text).tolist()
+        assert out["right_text"].tolist() == out["right_id"].map(text).tolist()
+
+    def test_no_pairs_typed_empty(self):
+        # a bucket whose blocks are all singletons emits the typed schema
+        # (the same as a bucket with pairs), never a column-less table
+        t = LshBander(LinkageConfig())(vocab_batch(["qqqq zzzz", "wwww rrrr"]))
+        out = _bucket_pairs(t, "node", "block_key", 8, 64, "norm", "norm", 32)
+        assert out.num_rows == 0
+        assert out.schema == pa.schema([
+            ("left_id", pa.int64()), ("right_id", pa.int64()),
+            ("left_norm", pa.string()), ("right_norm", pa.string()),
+            ("block_key", pa.int64()), ("__pbucket", pa.int32())])

@@ -40,7 +40,7 @@ class TestOrderAuto:
         # The session fixture pins preserve_order=True; this test flips it
         # OFF to exercise the production default, where plain materialize()
         # stores blocks in completion order. The order pin must keep the
-        # logical order (probe returns bounds) under that default — the
+        # logical order (the probe passes) under that default — the
         # silent 4x flagship regression of the round was this probe failing
         # on a completion-ordered materialize and re-routing the flagship
         # onto the global sort. A checkpoint write must read back in
@@ -64,9 +64,8 @@ class TestOrderAuto:
             ds = rd.from_arrow(pa.table({"k": list(range(1000))})) \
                 .repartition(8).map_batches(slow_first, batch_format="pyarrow")
             m = in_logical_order(ds, rd.Dataset.materialize)
-            bounds = blocks_range_partitioned(m, keys=["k"])
-            assert bounds is not None and len(bounds) == 8
-            assert bounds[0] == ((0,), (124,)) and bounds[-1][1] == (999,)
+            assert m.num_blocks() == 8
+            assert blocks_range_partitioned(m, keys=["k"]) is True
             # the shared context flags were restored, the probe's included
             assert ds.context.execution_options.preserve_order is False
             assert m.context.execution_options.preserve_order is False
@@ -111,10 +110,9 @@ class TestAnnotateOrder:
         perm = np.random.default_rng(3).permutation(tbl.num_rows)
         permuted = tbl.take(pa.array(perm))
         keys = ["conv_id", "turn_idx"]
-        assert blocks_range_partitioned(
-            rd.from_arrow(tbl).repartition(4), keys) is not None
-        assert blocks_range_partitioned(
-            rd.from_arrow(permuted).repartition(4), keys) is None
+        assert blocks_range_partitioned(rd.from_arrow(tbl).repartition(4), keys)
+        assert not blocks_range_partitioned(
+            rd.from_arrow(permuted).repartition(4), keys)
         a = self._run(tbl)
         b = self._run(permuted)
         assert a[["conv_id", "turn_idx", "text"]].equals(
@@ -275,6 +273,22 @@ class TestLshRecall:
         assert exact[["left_vec", "right_vec"]].equals(
             lsh[["left_vec", "right_vec"]])
         assert np.allclose(exact["cosine"], lsh["cosine"], atol=1e-9)
+
+
+class TestPairFamilyOracle:
+    def test_pair_operators_match_duckdb(self):
+        """The candidate-pair operators (four on ``block_pairs``, plus the
+        edit-distance join) against their DuckDB oracles — the default
+        suite's gate for the pair family."""
+        import sys
+        from pathlib import Path
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+        from check_oracle import run_sweep
+
+        assert run_sweep(SF, only={
+            "minhash_dup_pairs", "ngram_jaccard_pairs",
+            "embedding_near_dups_lsh", "tf_cosine_pairs",
+            "edit_distance_pairs"}) == []
 
 
 class TestMediaFormula:

@@ -83,8 +83,7 @@ def generate_pairs(vocab: Dataset, config: LinkageConfig) -> Dataset:
         LshBander(config), batch_format="pyarrow", batch_size=config.batch_size)
     return block_pairs(
         banded, "node", "block_key", config.pair_window, config.max_block_size,
-        sort_col="norm", carry_col="norm",
-        num_buckets=config.num_hash_buckets,
+        text_col="norm", num_buckets=config.num_hash_buckets,
     ).rename_columns({"left_norm": "left_text", "right_norm": "right_text"})
 
 

@@ -132,13 +132,13 @@ def _first_per_pair(t: pa.Table, key_col: str) -> pa.Table:
 
 
 def _bucket_pairs(t: pa.Table, id_col: str, key_col: str, window: int,
-                  max_block: int, sort_col: str | None, carry_col: str | None,
+                  max_block: int, text_col: str | None,
                   num_buckets: int) -> pa.Table:
     """All candidate pairs of one key bucket, deduped within the bucket and
     tagged with the pair-hash bucket of the dedup shuffle."""
-    order = [key_col] + ([sort_col] if sort_col else []) + [id_col]
+    order = [key_col] + ([text_col] if text_col else []) + [id_col]
     t = t.take(pc.sort_indices(t, sort_keys=[(c, "ascending") for c in order]))
-    # distinct on (key, id): sort_col is a per-id attribute, so repeats of
+    # distinct on (key, id): text_col is a per-id attribute, so repeats of
     # one (key, id) sit adjacent
     same_key = _same_as_prev(t.column(key_col))
     dup = same_key & _same_as_prev(t.column(id_col))
@@ -151,10 +151,10 @@ def _bucket_pairs(t: pa.Table, id_col: str, key_col: str, window: int,
     flip = idv[li] > idv[ri]
     lo, hi = np.where(flip, ri, li), np.where(flip, li, ri)
     cols = {"left_id": ids.take(lo), "right_id": ids.take(hi)}
-    if carry_col:
-        carry = t.column(carry_col)
-        cols[f"left_{carry_col}"] = carry.take(lo)
-        cols[f"right_{carry_col}"] = carry.take(hi)
+    if text_col:
+        text = t.column(text_col)
+        cols[f"left_{text_col}"] = text.take(lo)
+        cols[f"right_{text_col}"] = text.take(hi)
     cols[key_col] = t.column(key_col).take(li)
     h = mix64(idv[lo].astype(np.uint64) ^ mix64(idv[hi], seed=23), seed=29)
     cols["__pbucket"] = _bucket_of(h, num_buckets)
@@ -162,17 +162,18 @@ def _bucket_pairs(t: pa.Table, id_col: str, key_col: str, window: int,
 
 
 def block_pairs(rows: Dataset, id_col: str, key_col: str, window: int,
-                max_block: int, sort_col: str | None = None,
-                carry_col: str | None = None, num_buckets: int = 64) -> Dataset:
+                max_block: int, text_col: str | None = None,
+                num_buckets: int = 64) -> Dataset:
     """Candidate pairs of ``rows`` that share a ``key_col`` value.
 
     Every distinct (key, id) row joins its key's block; a block of up to
     ``max_block`` members pairs all its members, a larger one pairs each
-    member with its next ``window`` members in (``sort_col``, id) order.
-    ``id_col`` holds integers; ``sort_col`` and ``carry_col`` are per-id
-    attributes. Output: one row per distinct pair, ``left_id < right_id``,
-    with ``left_/right_<carry_col>`` when asked and the lowest ``key_col``
-    the two share.
+    member with its next ``window`` members in (``text_col``, id) order.
+    ``id_col`` holds integers; ``text_col`` is a per-id attribute. Output:
+    one row per distinct pair, ``left_id < right_id``, with
+    ``left_/right_<text_col>`` when ``text_col`` is given and the lowest
+    ``key_col`` the two share. A Dataset with no pairs has no schema: Ray
+    calls no ``map_groups`` UDF on an empty shuffle partition.
 
     Dataflow: one Arrow ``map_groups`` over ``hash(key) % num_buckets``
     pairs each bucket; a second one, over a hash of the pair, dedups the
@@ -188,8 +189,8 @@ def block_pairs(rows: Dataset, id_col: str, key_col: str, window: int,
         return _first_per_pair(g, key_col).drop_columns(["__pbucket"])
 
     pairs = partial(_bucket_pairs, id_col=id_col, key_col=key_col,
-                    window=window, max_block=max_block, sort_col=sort_col,
-                    carry_col=carry_col, num_buckets=num_buckets)
+                    window=window, max_block=max_block, text_col=text_col,
+                    num_buckets=num_buckets)
     return rows.map_batches(key_bucket, batch_format="pyarrow") \
         .groupby("__bucket").map_groups(pairs, batch_format="pyarrow") \
         .groupby("__pbucket").map_groups(dedup, batch_format="pyarrow")

@@ -1,6 +1,6 @@
 """Blocking + pair generation tests: canonical ordering, no self-pairs,
-dedup keeping the lowest key, windowed skew capping in sort order, and the
-typed empty result."""
+dedup keeping the lowest key, windowed skew capping in text order, and the
+typed empty table of a bucket without pairs."""
 
 import numpy as np
 import pyarrow as pa
@@ -8,6 +8,7 @@ import ray.data as rd
 
 from chameleon_entity_linking_ray.config import LinkageConfig
 from chameleon_entity_linking_ray.functions.hashing import node_id
+from chameleon_entity_linking_ray.pipelines.linkage import generate_pairs
 from chameleon_entity_linking_ray.stages.blocking import (
     LshBander,
     _bucket_pairs,
@@ -46,13 +47,8 @@ class TestRunPairs:
 
 class TestPairGeneration:
     def _pairs_for(self, norms, cfg=None):
-        # the flagship's call shape (pipelines.linkage.generate_pairs)
-        cfg = cfg or LinkageConfig()
-        banded = rd.from_arrow(LshBander(cfg)(vocab_batch(norms)))
-        return block_pairs(banded, "node", "block_key", cfg.pair_window,
-                           cfg.max_block_size, sort_col="norm",
-                           carry_col="norm",
-                           num_buckets=cfg.num_hash_buckets).to_pandas()
+        return generate_pairs(rd.from_arrow(vocab_batch(norms)),
+                              cfg or LinkageConfig()).to_pandas()
 
     def test_no_self_pairs_canonical_order(self):
         df = self._pairs_for(["acme industries", "acme ind", "acme", "globex corp"])
@@ -99,15 +95,14 @@ class TestPairGeneration:
         assert out[["left_id", "right_id", "key"]].values.tolist() == \
             [[1, 2, -4], [1, 3, 9], [2, 3, 9]]
 
-    def test_hot_block_window_follows_sort_col(self):
+    def test_hot_block_window_follows_text_col(self):
         # one block of 6 > max_block: each member pairs with its next
         # neighbour in TEXT order (a b c d e f), not in id order
         rows = pa.table({"id": pa.array(range(6), pa.int64()),
                          "key": pa.array([5] * 6, pa.int64()),
                          "text": ["c", "a", "f", "b", "e", "d"]})
         out = block_pairs(rd.from_arrow(rows), "id", "key", window=1,
-                          max_block=2, sort_col="text",
-                          carry_col="text").to_pandas()
+                          max_block=2, text_col="text").to_pandas()
         assert set(zip(out["left_id"], out["right_id"])) == \
             {(1, 3), (0, 3), (0, 5), (4, 5), (2, 4)}
         # carried texts follow their ids through the canonical swap
@@ -115,11 +110,12 @@ class TestPairGeneration:
         assert out["left_text"].tolist() == out["left_id"].map(text).tolist()
         assert out["right_text"].tolist() == out["right_id"].map(text).tolist()
 
-    def test_no_pairs_typed_empty(self):
+    def test_bucket_without_pairs_typed_empty(self):
         # a bucket whose blocks are all singletons emits the typed schema
-        # (the same as a bucket with pairs), never a column-less table
+        # (the same as a bucket with pairs), never a column-less table; a
+        # whole Dataset without pairs still has none (see block_pairs)
         t = LshBander(LinkageConfig())(vocab_batch(["qqqq zzzz", "wwww rrrr"]))
-        out = _bucket_pairs(t, "node", "block_key", 8, 64, "norm", "norm", 32)
+        out = _bucket_pairs(t, "node", "block_key", 8, 64, "norm", 32)
         assert out.num_rows == 0
         assert out.schema == pa.schema([
             ("left_id", pa.int64()), ("right_id", pa.int64()),

@@ -9,7 +9,8 @@ optional per-stage checkpoints:
       -> map_batches(LshBander)  bands + token blocks  # stateless numpy
       -> block_pairs: Arrow map_groups per key bucket  # SHUFFLE 2 (skew-capped)
          then per pair-hash bucket, lowest key kept    # SHUFFLE 3 pair dedup
-      -> map_batches(score_batch) + broadcast IDF      # stateless tasks, fused
+      -> map_batches(score_batch) + broadcast IDF      # rerank every pair from
+         per-batch distinct-surface features          #   stateless tasks, fused
       -> filter(score > theta) -> edges                #   with the edge filter
       -> connected_components(...)                     # SHUFFLE 4..k (or driver UF)
       -> mentions x assignments broadcast assign       # map-only join back
@@ -99,11 +100,14 @@ def score_pairs(pairs: Dataset, config: LinkageConfig, stats_ref=None,
     ``scorer_cls``: any callable class with the PairScorer protocol whose
     ``__init__`` is worth amortizing, e.g. ``stages.model.ModelPairScorer``
     (plus its ``weights_ref`` in ``scorer_kwargs``): it runs as a fixed
-    actor pool."""
+    actor pool. ``scorer_kwargs`` are its constructor arguments, so they
+    need a ``scorer_cls``."""
     if scorer_cls is None:
+        if scorer_kwargs:
+            raise ValueError(f"score_pairs: scorer_kwargs {sorted(scorer_kwargs)} "
+                             "given without a scorer_cls")
         return pairs.map_batches(
-            score_batch, fn_kwargs={"config": config, "stats_ref": stats_ref,
-                                    "scorer_kwargs": scorer_kwargs},
+            score_batch, fn_kwargs={"config": config, "stats_ref": stats_ref},
             batch_format="pyarrow", batch_size=config.scorer_batch_size)
     # the pair table emerges from a groupby in a handful of fat blocks, and
     # map_batches parallelism is bounded by input block count — spread it

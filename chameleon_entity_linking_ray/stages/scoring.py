@@ -9,24 +9,22 @@ default flagship path runs it through ``score_batch`` as plain
 is expensive (``stages.model.ModelPairScorer``, the model-load analog)
 runs as a fixed actor pool instead (``pipelines.linkage.score_pairs``).
 
-Stage anatomy, mirroring the reference:
-- **retrieve prefilter** (bi-encoder analog, /root/reference/BiEncoder/
-  model.py:68-166): MinHash-estimated Jaccard — pairs below ``prefilter``
-  skip the expensive path entirely.
-- **rerank** (cross-encoder analog, /root/reference/CrossEncoder/
-  model.py:36-62): ``text_score`` = IDF-weighted Monge-Elkan token
-  alignment with edit-distance token similarity (the classic soft-TFIDF
-  record-linkage scorer); ``entity_score`` = IDF-weighted hashed char-ngram
-  cosine. Blended ``0.9*text + 0.1*entity`` exactly as
-  /root/reference/BiEncoder/test.py:120.
+The retrieve stage is blocking (``pipelines.linkage.generate_pairs``):
+every candidate pair shares a block key, so the scorer reranks every pair
+it is given (filter while candidates are generated, verify after).
+Rerank (cross-encoder analog, the reference's CrossEncoder/model.py:36-62):
+``text_score`` = IDF-weighted Monge-Elkan token alignment with
+edit-distance token similarity (the classic soft-TFIDF record-linkage
+scorer); ``entity_score`` = IDF-weighted hashed char-ngram cosine. Blended
+``0.9*text + 0.1*entity`` exactly as the reference's BiEncoder/test.py:120.
 
-Because scoring runs over DISTINCT surface pairs (see stages/vocab.py) the
-per-pair token alignment cost is paid once per unique string pair; within
-a batch (or across an actor's batches) the scorer also memoizes token-pair
-similarities and per-surface token decompositions. Every score is per
-pair and the memos are bit-equal to a fresh computation, so neither the
-batch layout nor the path changes a value. Swap in a real model by
-implementing the same protocol.
+Each batch first finds its DISTINCT surfaces (one Arrow
+``dictionary_encode`` over both text columns) and featurizes each once:
+one ``hash64`` + IDF lookup over their tokens, one n-gram feature matrix,
+and one batched edit-distance DP over the distinct token pairs. Pairs then
+gather by surface index. Every score is a function of its pair alone, so
+neither the batch layout nor the path changes a value. Swap in a real
+model by implementing the same protocol.
 """
 
 from __future__ import annotations
@@ -37,14 +35,8 @@ import ray
 
 from chameleon_entity_linking_ray.config import LinkageConfig
 from chameleon_entity_linking_ray.functions.hashing import flat_ngram_hashes, hash64, mix64
-from chameleon_entity_linking_ray.functions.minhash import (
-    cosine_rows,
-    estimate_jaccard,
-    minhash_signatures,
-)
+from chameleon_entity_linking_ray.functions.minhash import cosine_rows
 from chameleon_entity_linking_ray.stages.stats import IdfStats
-
-PREFILTER_DEFAULT = 0.03
 
 
 def edit_similarity(a: str, b: str) -> float:
@@ -107,9 +99,8 @@ def _dp_batch(A: list[str], B: list[str]) -> np.ndarray:
     la = np.fromiter(map(len, A), np.int64, n)
     lb = np.fromiter(map(len, B), np.int64, n)
     dist = levenshtein_batch(A, B)
-    # float64 end-to-end: cached values must be bit-equal to the scalar
-    # edit_similarity path (which computes 1 - dist/max in float64), so the
-    # memo cache yields identical scores no matter which path populated it
+    # float64 end-to-end: bit-equal to the scalar edit_similarity path
+    # (which computes 1 - dist/max in float64)
     sim = 1.0 - dist / np.maximum(la, lb)
     return np.maximum(0.0, sim)
 
@@ -151,168 +142,94 @@ def weighted_ngram_features(texts: list[str], dim: int, k: int, seed: int,
     return mat
 
 
+def _ragged(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Flat positions ``starts[i] + arange(lens[i])``, concatenated."""
+    return np.repeat(starts - _starts(lens), lens) + np.arange(int(lens.sum()))
+
+
+def _starts(lens: np.ndarray) -> np.ndarray:
+    """Start offset of each run in the concatenation of runs ``lens``."""
+    return np.cumsum(lens) - lens
+
+
 class PairScorer:
-    def __init__(self, config: LinkageConfig | None = None,
-                 stats_ref=None, prefilter: float = PREFILTER_DEFAULT):
+    def __init__(self, config: LinkageConfig | None = None, stats_ref=None):
         # runs once per task batch, or once per actor on the scorer_cls
         # path: fetch the broadcast IDF tables (model-load analog)
         self.c = config or LinkageConfig()
         self.stats: IdfStats | None = ray.get(stats_ref) if stats_ref is not None else None
-        self.prefilter = prefilter
-        # text -> (tokens, token hash64s, IDF weights)
-        self._tok_cache: dict[str, tuple[list[str], np.ndarray, np.ndarray]] = {}
-        self._sim_cache: dict[tuple[str, str], float] = {}
-        # memo caches are bounded: an actor lives for the whole stage, and
-        # at 1e12-scale vocabularies unbounded memos are an OOM; reset-on-cap
-        # keeps amortization within a working set without LRU bookkeeping
-        self._cache_cap = 2_000_000
 
-    def _tokens(self, text: str) -> tuple[list[str], np.ndarray, np.ndarray]:
-        hit = self._tok_cache.get(text)
-        if hit is None:
-            if len(self._tok_cache) >= self._cache_cap:
-                self._tok_cache.clear()
-            toks = text.split()
-            th = hash64(toks)
-            if self.stats is not None and toks:
-                w = self.stats.token_weights(th).astype(np.float64)
-            else:
-                w = np.ones(len(toks), dtype=np.float64)
-            hit = (toks, th, w)
-            self._tok_cache[text] = hit
-        return hit
+    def _token_table(self, surfaces: list[str]):
+        """Whitespace tokens of the distinct surfaces, flat: per-surface
+        offsets, a token id per token, the distinct token strings and each
+        token's IDF weight (one hash64 + one lookup over the distinct
+        tokens)."""
+        split = [s.split() for s in surfaces]
+        offsets = np.zeros(len(split) + 1, np.int64)
+        np.cumsum(np.fromiter(map(len, split), np.int64, len(split)), out=offsets[1:])
+        enc = pa.array([t for ts in split for t in ts], pa.string()).dictionary_encode()
+        tok_id = enc.indices.to_numpy().astype(np.int64)
+        tokens = enc.dictionary.to_pylist()
+        if self.stats is None:
+            return offsets, tok_id, tokens, np.ones(tok_id.size, np.float64)
+        w = self.stats.token_weights(hash64(tokens)).astype(np.float64)
+        return offsets, tok_id, tokens, w[tok_id]
 
-    def _batch_monge_elkan(self, lefts: list[str], rights: list[str]) -> np.ndarray:
-        """Vectorized symmetrized Monge-Elkan over a batch of pairs: token
-        decompositions come from the scorer's cache, missing token-pair
-        similarities are computed in ONE batched DP
-        (``edit_similarity_batch``), and the per-side max/weighted-mean
-        arithmetic is segment ``reduceat`` — no per-pair Python beyond the
-        cache probes."""
-        n = len(lefts)
-        out = np.zeros(n, np.float32)
-        lt = [self._tokens(t) for t in lefts]
-        rt = [self._tokens(t) for t in rights]
-        nl_all = np.fromiter((len(t[0]) for t in lt), np.int64, n)
-        nr_all = np.fromiter((len(t[0]) for t in rt), np.int64, n)
-        live = np.flatnonzero((nl_all > 0) & (nr_all > 0))
+    def _monge_elkan(self, li: np.ndarray, ri: np.ndarray, surfaces: list[str]) -> np.ndarray:
+        """Vectorized symmetrized Monge-Elkan over pairs of surface indices:
+        each distinct token pair of the batch is scored in ONE batched DP
+        (``edit_similarity_batch``); the per-side max and weighted mean are
+        segment ``reduceat``s."""
+        out = np.zeros(len(li), np.float32)
+        offsets, tok_id, tokens, w = self._token_table(surfaces)
+        ntok = np.diff(offsets)
+        live = np.flatnonzero((ntok[li] > 0) & (ntok[ri] > 0))
         if live.size == 0:
             return out
-        nl = nl_all[live]
-        nr = nr_all[live]
-        cnt = nl * nr
-        total = int(cnt.sum())
-        off = np.zeros(len(live), np.int64)
-        np.cumsum(cnt[:-1], out=off[1:])
+        V = len(tokens)
 
-        # flat (ai-major) token-pair similarity array, cache-resolved
-        flat = [(a, b) for i in live for a in lt[i][0] for b in rt[i][0]]
-        sims = np.empty(total, np.float64)
-        cache = self._sim_cache
-        miss_pos: list[int] = []
-        miss_keys: list[tuple[str, str]] = []
-        for idx, (a, b) in enumerate(flat):
-            key = (a, b) if a < b else (b, a)
-            v = cache.get(key)
-            if v is None:
-                miss_pos.append(idx)
-                miss_keys.append(key)
-            else:
-                sims[idx] = v
-        if miss_pos:
-            uniq = list(dict.fromkeys(miss_keys))
-            vals = edit_similarity_batch([k[0] for k in uniq],
-                                         [k[1] for k in uniq])
-            if len(cache) + len(uniq) >= self._cache_cap:
-                cache.clear()
-            for k, v in zip(uniq, vals):
-                cache[k] = float(v)
-            for pos, key in zip(miss_pos, miss_keys):
-                sims[pos] = cache[key]
+        def token_pairs(a: np.ndarray, b: np.ndarray):
+            # a-major: each token of surface a[i] meets every token of b[i];
+            # the pair key is order-free (edit similarity is symmetric)
+            ta = _ragged(offsets[a], ntok[a])
+            runs = np.repeat(ntok[b], ntok[a])
+            x = tok_id[np.repeat(ta, runs)]
+            y = tok_id[_ragged(np.repeat(offsets[b], ntok[a]), runs)]
+            return ta, runs, np.minimum(x, y) * V + np.maximum(x, y), ntok[a]
 
-        wl = np.concatenate([lt[i][2] for i in live])
-        wr = np.concatenate([rt[i][2] for i in live])
-        tok_starts_l = np.zeros(len(live), np.int64)
-        np.cumsum(nl[:-1], out=tok_starts_l[1:])
-        tok_starts_r = np.zeros(len(live), np.int64)
-        np.cumsum(nr[:-1], out=tok_starts_r[1:])
+        a, b = li[live], ri[live]
+        fwd, bwd = token_pairs(a, b), token_pairs(b, a)
+        keys = np.unique(fwd[2])
+        sims = edit_similarity_batch([tokens[k] for k in keys // V],
+                                     [tokens[k] for k in keys % V])
 
-        # direction 1: max over right tokens per (pair, left-token)
-        run1 = np.repeat(nr, nl)  # one run of nr[i] per left token
-        starts1 = np.zeros(len(run1), np.int64)
-        np.cumsum(run1[:-1], out=starts1[1:])
-        max1 = np.maximum.reduceat(sims, starts1)
-        num1 = np.add.reduceat(wl * max1, tok_starts_l)
-        den1 = np.add.reduceat(wl, tok_starts_l)
-        side1 = np.divide(num1, den1, out=np.zeros_like(num1), where=den1 > 0)
+        def side(ta, runs, key, na) -> np.ndarray:
+            # weighted mean over one side's tokens of their best match
+            best = np.maximum.reduceat(sims[np.searchsorted(keys, key)], _starts(runs))
+            num = np.add.reduceat(w[ta] * best, _starts(na))
+            den = np.add.reduceat(w[ta], _starts(na))
+            return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
 
-        # direction 2: transpose each pair's local (ai, bj) matrix
-        nl_rep = np.repeat(nl, cnt)
-        nr_rep = np.repeat(nr, cnt)
-        off_rep = np.repeat(off, cnt)
-        within2 = np.arange(total, dtype=np.int64) - off_rep
-        perm = off_rep + (within2 % nl_rep) * nr_rep + within2 // nl_rep
-        sims_t = sims[perm]
-        run2 = np.repeat(nl, nr)
-        starts2 = np.zeros(len(run2), np.int64)
-        np.cumsum(run2[:-1], out=starts2[1:])
-        max2 = np.maximum.reduceat(sims_t, starts2)
-        num2 = np.add.reduceat(wr * max2, tok_starts_r)
-        den2 = np.add.reduceat(wr, tok_starts_r)
-        side2 = np.divide(num2, den2, out=np.zeros_like(num2), where=den2 > 0)
-
-        out[live] = np.minimum(side1, side2).astype(np.float32)
+        out[live] = np.minimum(side(*fwd), side(*bwd)).astype(np.float32)
         return out
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         c = self.c
-        left = batch.column("left_text").to_pylist()
-        right = batch.column("right_text").to_pylist()
-        n = len(left)
-        if n == 0:
-            empty = pa.array([], pa.float32())
-            return (batch.append_column("text_score", empty)
-                    .append_column("entity_score", empty)
-                    .append_column("score", empty))
+        n = batch.num_rows
+        # distinct surfaces of the batch, keyed by text: every per-surface
+        # feature is computed once, then gathered by surface index
+        enc = pa.concat_arrays([batch.column("left_text").combine_chunks(),
+                                batch.column("right_text").combine_chunks()]
+                               ).dictionary_encode()
+        surfaces = enc.dictionary.to_pylist()
+        idx = enc.indices.to_numpy().astype(np.int64)
+        li, ri = idx[:n], idx[n:]
 
-        # --- retrieve prefilter (bi-encoder analog) ---
-        sig_l = minhash_signatures(left, c.shingle_k, c.num_perm, c.minhash_seed)
-        sig_r = minhash_signatures(right, c.shingle_k, c.num_perm, c.minhash_seed)
-        jac = estimate_jaccard(sig_l, sig_r)
-        # token-block pairs share a whole token: always worth reranking.
-        # Vectorized via token hash64s (cached per surface): concatenate
-        # (pair, hash, side) rows, one lexsort, and any equal (pair, hash)
-        # run containing both sides has an adjacent left->right boundary.
-        lh = [self._tokens(t)[1] for t in left]
-        rh = [self._tokens(t)[1] for t in right]
-        nl = np.fromiter(map(len, lh), np.int64, n)
-        nr = np.fromiter(map(len, rh), np.int64, n)
-        pid = np.concatenate([np.repeat(np.arange(n, dtype=np.int64), nl),
-                              np.repeat(np.arange(n, dtype=np.int64), nr)])
-        hsh = np.concatenate(lh + rh) if pid.size else np.empty(0, np.uint64)
-        side = np.concatenate([np.zeros(int(nl.sum()), np.int8),
-                               np.ones(int(nr.sum()), np.int8)])
-        shares_token = np.zeros(n, dtype=bool)
-        if pid.size > 1:
-            o = np.lexsort((side, hsh, pid))
-            pid, hsh, side = pid[o], hsh[o], side[o]
-            hit = (pid[1:] == pid[:-1]) & (hsh[1:] == hsh[:-1]) & \
-                (side[1:] > side[:-1])
-            shares_token[pid[:-1][hit]] = True
-        survivors = np.flatnonzero((jac >= self.prefilter) | shares_token)
-
-        text_score = np.zeros(n, dtype=np.float32)
-        entity_score = np.zeros(n, dtype=np.float32)
-        if survivors.size:
-            sl = [left[i] for i in survivors]
-            sr = [right[i] for i in survivors]
-            # --- rerank (cross-encoder analog), batch-vectorized ---
-            text_score[survivors] = self._batch_monge_elkan(sl, sr)
-            fl = weighted_ngram_features(sl, c.feature_dim, c.shingle_k,
-                                         c.minhash_seed, self.stats)
-            fr = weighted_ngram_features(sr, c.feature_dim, c.shingle_k,
-                                         c.minhash_seed, self.stats)
-            entity_score[survivors] = cosine_rows(fl, fr)
+        # --- rerank (cross-encoder analog), batch-vectorized ---
+        text_score = self._monge_elkan(li, ri, surfaces)
+        feats = weighted_ngram_features(surfaces, c.feature_dim, c.shingle_k,
+                                        c.minhash_seed, self.stats)
+        entity_score = cosine_rows(feats[li], feats[ri])
 
         if c.score_mode == "dual_mean":
             # Fully dual-tower variant: unweighted mean of the two tower
@@ -327,10 +244,9 @@ class PairScorer:
                 .append_column("score", pa.array(score, pa.float32())))
 
 
-def score_batch(batch: pa.Table, config: LinkageConfig, stats_ref=None,
-                scorer_kwargs: dict | None = None) -> pa.Table:
+def score_batch(batch: pa.Table, config: LinkageConfig, stats_ref=None) -> pa.Table:
     """Task-stage form of ``PairScorer``: a fresh scorer per batch."""
-    return PairScorer(config, stats_ref, **(scorer_kwargs or {}))(batch)
+    return PairScorer(config, stats_ref)(batch)
 
 
 def damerau_levenshtein_batch(A: list[str], B: list[str]) -> np.ndarray:

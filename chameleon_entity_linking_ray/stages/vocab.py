@@ -12,7 +12,6 @@ reference re-embedding every duplicated passage independently
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 from ray.data import Dataset
 
@@ -46,6 +45,12 @@ def build_vocab(mentions: Dataset, text_col: str = "norm",
     the exchange moves ~n_blocks x vocab rows instead of every mention —
     the difference between shuffling 10^12 rows and 10^7 at target scale."""
 
+    def combine(part: pa.Table) -> pa.Table:
+        # (norm, n_mentions) summed per norm, in first-appearance order
+        return part.group_by(text_col, use_threads=False) \
+            .aggregate([("n_mentions", "sum")]) \
+            .rename_columns([text_col, "n_mentions"])
+
     def partial(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
         if batch.num_rows == 0:
@@ -68,19 +73,12 @@ def build_vocab(mentions: Dataset, text_col: str = "norm",
             if isinstance(norm, pa.ChunkedArray):
                 norm = norm.combine_chunks()
             # distinct surfaces can share a norm -> re-aggregate by norm
-            part = pa.table({text_col: norm,
-                             "n_mentions": vc.field("counts").cast(pa.int64())}) \
-                .group_by(text_col).aggregate([("n_mentions", "sum")]) \
-                .rename_columns([text_col, "n_mentions"])
+            part = combine(pa.table({
+                text_col: norm, "n_mentions": vc.field("counts").cast(pa.int64())}))
         b = (mix64(hash64(part.column(text_col).to_pylist()), seed=67) %
              np.uint64(num_buckets)).astype(np.int32)
         return part.append_column("__vbucket", pa.array(b, pa.int32()))
 
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.groupby(text_col, sort=False)["n_mentions"].sum().reset_index()
-        out["n_mentions"] = out["n_mentions"].astype(np.int64)
-        return out
-
     vocab = mentions.map_batches(partial, batch_format="pyarrow") \
-        .groupby("__vbucket").map_groups(combine, batch_format="pandas")
+        .groupby("__vbucket").map_groups(combine, batch_format="pyarrow")
     return vocab.map_batches(add_node_column(text_col), batch_format="pyarrow")

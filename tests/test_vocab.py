@@ -4,10 +4,15 @@ input shapes (lean surface-only stream vs norm-carrying stream)."""
 
 import pandas as pd
 import pyarrow as pa
+import ray
 import ray.data as rd
 
+from chameleon_entity_linking_ray.config import LinkageConfig
+from chameleon_entity_linking_ray.functions.hashing import node_id
 from chameleon_entity_linking_ray.functions.text import normalize_list
+from chameleon_entity_linking_ray.pipelines.linkage import extract_mentions
 from chameleon_entity_linking_ray.stages.vocab import build_vocab
+from chameleon_entity_linking_ray.testing.synth import make_transcripts
 
 SURFACES = [
     "Acme Corp", "acme corp", "ACME-CORP", "Acme  Corp.", "Globex",
@@ -49,3 +54,17 @@ class TestBuildVocab:
         tbl = pa.table({"surface": pa.array([], pa.string())})
         out = build_vocab(rd.from_arrow(tbl)).to_pandas()
         assert len(out) == 0
+
+    def test_e2e_fixture_vocab_blocks_are_plain_arrow(self):
+        # pandas schema metadata on the vocab blocks makes their schemas
+        # unhashable when Ray unifies them ("Failed to hash the schemas")
+        turns, _ = make_transcripts(n_convs=60, n_entities=12, seed=42)
+        mentions = extract_mentions(rd.from_arrow(turns), LinkageConfig()).materialize()
+        blocks = ray.get(build_vocab(mentions).to_arrow_refs())
+        assert not any(b"pandas" in (b.schema.metadata or {}) for b in blocks)
+        got = pa.concat_tables(blocks).sort_by("norm")
+        ref = _reference_counts(mentions.to_pandas()["surface"].tolist())
+        assert got.column_names == ["norm", "n_mentions", "node"]
+        assert got.column("norm").to_pylist() == ref.index.tolist()
+        assert got.column("n_mentions").to_pylist() == ref.values.tolist()
+        assert got.column("node").to_pylist() == node_id(ref.index.tolist()).tolist()

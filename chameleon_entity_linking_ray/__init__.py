@@ -11,8 +11,10 @@ A from-scratch rebuild of the *semantics* of ``sadjadeb/chameleon_entity_linking
       -> block_pairs: map_groups per hash(key)  # shuffle 2, hot blocks
          bucket, then per pair-hash bucket      #   windowed; shuffle 3
          (lowest shared key kept)               #   pair dedup (Arrow)
-      -> map_batches(score_batch)               # stateless tasks (a model
-                                                #   scorer_cls: actor pool)
+      -> map_batches(score_batch)               # one stateless task per pair
+                                                #   block: surfaces featurized
+                                                #   once, pairs in chunks (a
+                                                #   model scorer_cls: actor pool)
       -> filter(score > theta)
       -> connected components                   # driver union-find, or a
                                                 #   groupby loop (shuffles 4..k)

@@ -46,8 +46,9 @@ class LinkageConfig:
     # --- execution sizing ---
     batch_size: int = 4096
     # a scorer_cls stage runs as a FIXED pool of min(scorer_concurrency,
-    # CPUs - 1) actors; scorer_batch_size is the rows per scoring call on
-    # that pool and on the default task stage alike
+    # CPUs - 1) actors, and scorer_batch_size is the rows per call on that
+    # pool; the default task stage scores each pair block in one call and
+    # gathers its pairs scorer_batch_size at a time (bounded memory)
     scorer_concurrency: int = 4
     scorer_batch_size: int = 2048
     num_hash_buckets: int = 32  # partitioned hash-join bucket count

@@ -21,6 +21,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import ray
 import ray.data
 from ray.data import Dataset
@@ -38,7 +39,15 @@ from chameleon_entity_linking_ray.stages.joins import (
 
 
 def read_table(sf_dir: str, name: str, columns: list[str] | None = None) -> Dataset:
-    return ray.data.read_parquet(f"{sf_dir}/{name}.parquet", columns=columns)
+    """One table of the star schema, read with a plain Arrow schema: the
+    files were written from pandas, and their ``b"pandas"`` schema
+    metadata is dropped at the read. Ray cannot hash a schema that carries
+    it and logs "Failed to hash the schemas" when it batches such blocks."""
+    path = f"{sf_dir}/{name}.parquet"
+    schema = pq.read_schema(path).remove_metadata()
+    if columns is not None:
+        schema = pa.schema([schema.field(c) for c in columns])
+    return ray.data.read_parquet(path, columns=columns, schema=schema)
 
 
 def _cents(col) -> pa.Array:

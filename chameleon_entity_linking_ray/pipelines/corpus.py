@@ -33,7 +33,7 @@ from chameleon_entity_linking_ray.functions.text import (
     token_counts,
 )
 from chameleon_entity_linking_ray.pipelines.analytics import read_table
-from chameleon_entity_linking_ray.stages.agg import grouped_agg, grouped_top_k
+from chameleon_entity_linking_ray.stages.agg import embedding_matrix, grouped_agg, grouped_top_k
 from chameleon_entity_linking_ray.stages.blocking import block_pairs
 
 
@@ -233,7 +233,7 @@ def _assemble_matrix(*blocks) -> tuple[np.ndarray, np.ndarray]:
         return np.empty(0, np.int64), np.empty((0, 0), np.float64)
     t = pa.concat_tables(blocks)
     ids = t.column("vec_id").to_numpy(zero_copy_only=False).astype(np.int64)
-    mat = np.stack(t.column("embedding").to_pylist()).astype(np.float64)
+    mat = embedding_matrix(t.column("embedding"))
     mat /= np.maximum(np.linalg.norm(mat, axis=1, keepdims=True), 1e-12)
     order = np.argsort(ids, kind="mergesort")  # sorted ids -> searchsorted probes
     return ids[order], mat[order]
@@ -461,7 +461,7 @@ def ann_topk(sf_dir: str, n_queries: int = 10, k: int = 5) -> Dataset:
 
         def __call__(self, batch: pa.Table) -> pa.Table:
             ids = batch.column("vec_id").to_numpy(zero_copy_only=False)
-            mat = np.stack(batch.column("embedding").to_pylist()).astype(np.float64)
+            mat = embedding_matrix(batch.column("embedding"))
             mat /= np.maximum(np.linalg.norm(mat, axis=1, keepdims=True), 1e-12)
             scores = self.qmat @ mat.T  # [q, n]
             nq, n = scores.shape
@@ -531,7 +531,7 @@ def ann_lsh_topk(sf_dir: str, n_queries: int = 10, k: int = 5,
 
         def __call__(self, batch: pa.Table) -> pa.Table:
             ids = batch.column("vec_id").to_numpy(zero_copy_only=False)
-            mat = np.stack(batch.column("embedding").to_pylist()).astype(np.float64)
+            mat = embedding_matrix(batch.column("embedding"))
             mat /= np.maximum(np.linalg.norm(mat, axis=1, keepdims=True), 1e-12)
             sig = (mat @ self.planes.T > 0).astype(np.uint64)
             bucket = (sig << np.arange(sig.shape[1], dtype=np.uint64)).sum(axis=1)
@@ -584,7 +584,7 @@ def embedding_near_dups(sf_dir: str, threshold: float = 0.35) -> Dataset:
     def block_pairs(batch: pa.Table) -> pa.Table:
         aids, amat = ray.get(ref)  # zero-copy shared-memory read per task
         ids = batch.column("vec_id").to_numpy(zero_copy_only=False)
-        mat = np.stack(batch.column("embedding").to_pylist()).astype(np.float64)
+        mat = embedding_matrix(batch.column("embedding"))
         mat /= np.maximum(np.linalg.norm(mat, axis=1, keepdims=True), 1e-12)
         sims = np.round(mat @ amat.T, 6)  # [block, all]; threshold on the
         # ROUNDED value so the oracle's ROUND(...) >= t agrees exactly
@@ -626,7 +626,7 @@ def embedding_near_dups_lsh(sf_dir: str, threshold: float = 0.35,
     # NOT ride the n_tables-x shuffle; the exact-cosine stage reads the
     # broadcast matrix instead
     def lsh_keys(batch: pa.Table) -> pa.Table:
-        mat = np.stack(batch.column("embedding").to_pylist()).astype(np.float64)
+        mat = embedding_matrix(batch.column("embedding"))
         mat /= np.maximum(np.linalg.norm(mat, axis=1, keepdims=True), 1e-12)
         planes = np.random.RandomState(seed).randn(n_tables * n_planes,
                                                    mat.shape[1])
@@ -983,8 +983,7 @@ def ann_ivf_topk(sf_dir: str, n_queries: int = 10, k: int = 5,
 
         def partial(batch: pa.Table) -> pa.Table:
             c = ray.get(cref)
-            mat = _norm(np.stack(batch.column("embedding").to_pylist())
-                        .astype(np.float64))
+            mat = _norm(embedding_matrix(batch.column("embedding")))
             cell = (mat @ c.T).argmax(axis=1)
             sums = np.zeros_like(c)
             np.add.at(sums, cell, mat)
@@ -1027,8 +1026,7 @@ def ann_ivf_topk(sf_dir: str, n_queries: int = 10, k: int = 5,
 
         def __call__(self, batch: pa.Table) -> pa.Table:
             ids = batch.column("vec_id").to_numpy(zero_copy_only=False)
-            mat = _norm(np.stack(batch.column("embedding").to_pylist())
-                        .astype(np.float64))
+            mat = _norm(embedding_matrix(batch.column("embedding")))
             cell = (mat @ self.c.T).argmax(axis=1)
             out_q, out_v, out_s = [], [], []
             for qi in range(len(self.qids)):
@@ -2349,8 +2347,7 @@ def embedding_quantize(sf_dir: str) -> Dataset:
                 "qmin": pa.array([], pa.int64()),
                 "qmax": pa.array([], pa.int64()),
                 "max_abs_err": pa.array([], pa.float64())})
-        e = np.stack(batch.column("embedding").to_pylist()) \
-            .astype(np.float64)
+        e = embedding_matrix(batch.column("embedding"))
         q, mx = _int8_quant(e)
         err = np.abs(e - q * mx[:, None] / 127.0)
         return pa.table({
@@ -2391,9 +2388,7 @@ def ann_topk_int8(sf_dir: str, n_queries: int = 10, k: int = 5) -> Dataset:
 
         def __call__(self, batch: pa.Table) -> pa.Table:
             ids = batch.column("vec_id").to_numpy(zero_copy_only=False)
-            mat, _ = _int8_quant(
-                np.stack(batch.column("embedding").to_pylist())
-                .astype(np.float64))
+            mat, _ = _int8_quant(embedding_matrix(batch.column("embedding")))
             dots = self.qmat @ mat.T  # exact int64 [q, n]
             nq, n = dots.shape
             return pa.table({

@@ -9,9 +9,10 @@ optional per-stage checkpoints:
       -> map_batches(LshBander)  bands + token blocks  # stateless numpy
       -> block_pairs: Arrow map_groups per key bucket  # SHUFFLE 2 (skew-capped)
          then per pair-hash bucket, lowest key kept    # SHUFFLE 3 pair dedup
-      -> map_batches(score_batch) + broadcast IDF      # rerank every pair from
-         per-batch distinct-surface features          #   stateless tasks, fused
-      -> filter(score > theta) -> edges                #   with the edge filter
+      -> map_batches(score_batch) + broadcast IDF      # rerank every pair: one
+         per-block distinct-surface features,         #   stateless task per pair
+         pairs gathered in bounded chunks             #   block, fused with the
+      -> filter(score > theta) -> edges                #   edge filter
       -> connected_components(...)                     # SHUFFLE 4..k (or driver UF)
       -> mentions x assignments broadcast assign       # map-only join back
       -> per-partition sort(conv_id, turn_idx)         # output invariant:
@@ -93,9 +94,11 @@ def score_pairs(pairs: Dataset, config: LinkageConfig, stats_ref=None,
     """Append ``text_score``, ``entity_score`` and ``score`` to every pair.
 
     Default (no ``scorer_cls``): the deterministic ``PairScorer`` kernel as
-    a stateless TASK stage — no pool to size or starve, and it fuses with
-    the downstream edge filter, so the scored pair table is never pinned.
-    Every score is per pair, so the batch layout cannot change a value.
+    a stateless TASK stage, one call per pair BLOCK — each distinct surface
+    of the block is featurized once, and its pairs are scored in chunks of
+    ``config.scorer_batch_size``. No pool to size or starve, and it fuses
+    with the downstream edge filter, so the scored pair table is never
+    pinned. Every score is per pair, so the layout cannot change a value.
 
     ``scorer_cls``: any callable class with the PairScorer protocol whose
     ``__init__`` is worth amortizing, e.g. ``stages.model.ModelPairScorer``
@@ -108,7 +111,7 @@ def score_pairs(pairs: Dataset, config: LinkageConfig, stats_ref=None,
                              "given without a scorer_cls")
         return pairs.map_batches(
             score_batch, fn_kwargs={"config": config, "stats_ref": stats_ref},
-            batch_format="pyarrow", batch_size=config.scorer_batch_size)
+            batch_format="pyarrow", batch_size=None)
     # the pair table emerges from a groupby in a handful of fat blocks, and
     # map_batches parallelism is bounded by input block count — spread it
     # across the pool and PIN it first (cheap: pairs are candidate-pruned).
@@ -294,9 +297,10 @@ def annotate_transcripts(transcripts: Dataset, clustered: Dataset,
             .group_by(["surface", "cluster_id"]).aggregate([])
 
     # combiner form: a per-block distinct, then one final distinct of the
-    # (vocabulary-sized) partials on the driver
-    parts = ray.get(clustered.map_batches(
-        distinct, batch_format="pyarrow").to_arrow_refs())
+    # (vocabulary-sized) partials on the driver. iter_batches streams them
+    # in the one execution (to_arrow_refs would first probe the schema)
+    parts = clustered.map_batches(distinct, batch_format="pyarrow") \
+        .iter_batches(batch_format="pyarrow", batch_size=None)
     lookup = distinct(pa.concat_tables(
         [_LOOKUP_SCHEMA.empty_table()] + [t for t in parts if t.num_rows]))
     lookup_ref = ray.put(tuple(lookup.column(c).combine_chunks()

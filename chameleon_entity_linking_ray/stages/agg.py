@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 from ray.data import Dataset
 
 from chameleon_entity_linking_ray.functions.hashing import hash64, mix64
@@ -84,6 +85,27 @@ def distinct(ds: Dataset, keys: list[str], num_buckets: int = 32) -> Dataset:
         .groupby("__abucket").map_groups(combine, batch_format="pandas")
 
 
+def embedding_matrix(col: pa.Array | pa.ChunkedArray) -> np.ndarray:
+    """A ``list`` or ``fixed_size_list`` vector column (chunked or not) as
+    a writable float64 ``(rows, dim)`` matrix, read from the column's flat
+    child values — no per-row Python lists. Every row must be non-null
+    and of one width; an empty column gives ``(0, list_size)`` (or
+    ``(0, 0)`` for a variable-width list)."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    if col.null_count:
+        raise ValueError("embedding_matrix: null vector rows")
+    n = len(col)
+    dim = getattr(col.type, "list_size", 0)
+    if n and not dim:
+        lens = pc.list_value_length(col)
+        dim = pc.max(lens).as_py()
+        if pc.min(lens).as_py() != dim:
+            raise ValueError("embedding_matrix: vectors of different widths")
+    flat = col.flatten().to_numpy(zero_copy_only=False)
+    return flat.astype(np.float64).reshape(n, dim)
+
+
 def mean_pool_vectors(ds: Dataset, group_col: str, vec_col: str,
                       num_buckets: int = 16, round_to: int = 6,
                       all_groups: Dataset | None = None,
@@ -108,7 +130,7 @@ def mean_pool_vectors(ds: Dataset, group_col: str, vec_col: str,
     def partial(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:  # empty blocks occur after upstream filters
             return _partial_schema.empty_table()
-        mat = np.stack(batch.column(vec_col).to_pylist()).astype(np.float64)
+        mat = embedding_matrix(batch.column(vec_col))
         grp = batch.column(group_col).to_numpy(zero_copy_only=False)
         gu, inv = np.unique(grp, return_inverse=True)
         dim = mat.shape[1]

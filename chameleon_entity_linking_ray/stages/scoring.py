@@ -5,9 +5,10 @@ has the call shape of a model stage: a callable CLASS whose ``__init__``
 does the setup (fetching the broadcast IDF tables from the object store)
 and whose ``__call__`` scores an Arrow batch of candidate pairs. The
 default flagship path runs it through ``score_batch`` as plain
-``map_batches`` tasks, one scorer per batch; a scorer class whose setup
-is expensive (``stages.model.ModelPairScorer``, the model-load analog)
-runs as a fixed actor pool instead (``pipelines.linkage.score_pairs``).
+``map_batches`` tasks, one scorer call per pair block; a scorer class
+whose setup is expensive (``stages.model.ModelPairScorer``, the
+model-load analog) runs as a fixed actor pool on
+``scorer_batch_size``-row calls instead (``pipelines.linkage.score_pairs``).
 
 The retrieve stage is blocking (``pipelines.linkage.generate_pairs``):
 every candidate pair shares a block key, so the scorer reranks every pair
@@ -18,18 +19,23 @@ edit-distance token similarity (the classic soft-TFIDF record-linkage
 scorer); ``entity_score`` = IDF-weighted hashed char-ngram cosine. Blended
 ``0.9*text + 0.1*entity`` exactly as the reference's BiEncoder/test.py:120.
 
-Each batch first finds its DISTINCT surfaces (one Arrow
+Each call first finds its DISTINCT surfaces (one Arrow
 ``dictionary_encode`` over both text columns) and featurizes each once:
 one ``hash64`` + IDF lookup over their tokens, one n-gram feature matrix,
-and one batched edit-distance DP over the distinct token pairs. Pairs then
-gather by surface index. Every score is a function of its pair alone, so
-neither the batch layout nor the path changes a value. Swap in a real
-model by implementing the same protocol.
+and one batched edit-distance DP over the distinct token pairs of all its
+pairs. The per-pair phase then runs in chunks of ``scorer_batch_size``
+pairs: the Monge-Elkan ragged token-pair gathers and ``reduceat``s, and
+the n-gram cosine gather by surface index, so a whole pair block scores
+in one call with bounded memory (the dense n-gram gathers of an unchunked
+300k-pair block grew RSS by over 1 GB). Every score is a function of its
+pair alone, so neither the call layout, the chunking nor the path
+changes a value. Swap in a real model by implementing the same protocol.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import ray
 
@@ -154,7 +160,7 @@ def _starts(lens: np.ndarray) -> np.ndarray:
 
 class PairScorer:
     def __init__(self, config: LinkageConfig | None = None, stats_ref=None):
-        # runs once per task batch, or once per actor on the scorer_cls
+        # runs once per pair block, or once per actor on the scorer_cls
         # path: fetch the broadcast IDF tables (model-load analog)
         self.c = config or LinkageConfig()
         self.stats: IdfStats | None = ray.get(stats_ref) if stats_ref is not None else None
@@ -175,17 +181,18 @@ class PairScorer:
         w = self.stats.token_weights(hash64(tokens)).astype(np.float64)
         return offsets, tok_id, tokens, w[tok_id]
 
-    def _monge_elkan(self, li: np.ndarray, ri: np.ndarray, surfaces: list[str]) -> np.ndarray:
+    def _monge_elkan(self, li: np.ndarray, ri: np.ndarray, surfaces: list[str],
+                     chunk: int) -> np.ndarray:
         """Vectorized symmetrized Monge-Elkan over pairs of surface indices:
-        each distinct token pair of the batch is scored in ONE batched DP
-        (``edit_similarity_batch``); the per-side max and weighted mean are
-        segment ``reduceat``s."""
+        every distinct token pair of the call is scored in ONE batched DP
+        (``edit_similarity_batch``); the ragged token-pair gathers and the
+        per-side max / weighted-mean ``reduceat``s run ``chunk`` pairs at a
+        time."""
         out = np.zeros(len(li), np.float32)
         offsets, tok_id, tokens, w = self._token_table(surfaces)
         ntok = np.diff(offsets)
         live = np.flatnonzero((ntok[li] > 0) & (ntok[ri] > 0))
-        if live.size == 0:
-            return out
+        parts = [live[s:s + chunk] for s in range(0, live.size, chunk)]
         V = len(tokens)
 
         def token_pairs(a: np.ndarray, b: np.ndarray):
@@ -197,26 +204,32 @@ class PairScorer:
             y = tok_id[_ragged(np.repeat(offsets[b], ntok[a]), runs)]
             return ta, runs, np.minimum(x, y) * V + np.maximum(x, y), ntok[a]
 
-        a, b = li[live], ri[live]
-        fwd, bwd = token_pairs(a, b), token_pairs(b, a)
-        keys = np.unique(fwd[2])
+        keys = np.unique(np.concatenate(
+            [np.zeros(0, np.int64)]
+            + [np.unique(token_pairs(li[p], ri[p])[2]) for p in parts]))
         sims = edit_similarity_batch([tokens[k] for k in keys // V],
                                      [tokens[k] for k in keys % V])
+        # hash lookup key -> position in `keys` (built once per call)
+        key_pos = pd.Index(keys).get_indexer
 
         def side(ta, runs, key, na) -> np.ndarray:
             # weighted mean over one side's tokens of their best match
-            best = np.maximum.reduceat(sims[np.searchsorted(keys, key)], _starts(runs))
+            best = np.maximum.reduceat(sims[key_pos(key)], _starts(runs))
             num = np.add.reduceat(w[ta] * best, _starts(na))
             den = np.add.reduceat(w[ta], _starts(na))
             return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
 
-        out[live] = np.minimum(side(*fwd), side(*bwd)).astype(np.float32)
+        for p in parts:
+            a, b = li[p], ri[p]
+            out[p] = np.minimum(side(*token_pairs(a, b)),
+                                side(*token_pairs(b, a))).astype(np.float32)
         return out
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         c = self.c
         n = batch.num_rows
-        # distinct surfaces of the batch, keyed by text: every per-surface
+        chunk = c.scorer_batch_size
+        # distinct surfaces of the call, keyed by text: every per-surface
         # feature is computed once, then gathered by surface index
         enc = pa.concat_arrays([batch.column("left_text").combine_chunks(),
                                 batch.column("right_text").combine_chunks()]
@@ -225,11 +238,15 @@ class PairScorer:
         idx = enc.indices.to_numpy().astype(np.int64)
         li, ri = idx[:n], idx[n:]
 
-        # --- rerank (cross-encoder analog), batch-vectorized ---
-        text_score = self._monge_elkan(li, ri, surfaces)
+        # --- rerank (cross-encoder analog): per-surface features once, the
+        # per-pair gathers in chunks of `chunk` pairs (bounded memory) ---
+        text_score = self._monge_elkan(li, ri, surfaces, chunk)
         feats = weighted_ngram_features(surfaces, c.feature_dim, c.shingle_k,
                                         c.minhash_seed, self.stats)
-        entity_score = cosine_rows(feats[li], feats[ri])
+        entity_score = np.zeros(n, np.float32)
+        for s in range(0, n, chunk):
+            entity_score[s:s + chunk] = cosine_rows(feats[li[s:s + chunk]],
+                                                    feats[ri[s:s + chunk]])
 
         if c.score_mode == "dual_mean":
             # Fully dual-tower variant: unweighted mean of the two tower
@@ -245,7 +262,7 @@ class PairScorer:
 
 
 def score_batch(batch: pa.Table, config: LinkageConfig, stats_ref=None) -> pa.Table:
-    """Task-stage form of ``PairScorer``: a fresh scorer per batch."""
+    """Task-stage form of ``PairScorer``: a fresh scorer per pair block."""
     return PairScorer(config, stats_ref)(batch)
 
 

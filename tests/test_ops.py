@@ -11,6 +11,7 @@ import ray.data as rd
 
 from chameleon_entity_linking_ray.stages.agg import (
     distinct,
+    embedding_matrix,
     grouped_agg,
     grouped_top_k,
     top_k,
@@ -61,6 +62,38 @@ class TestGroupedAgg:
         for g, sub in got.groupby("g"):
             want = sales[sales["g"] == g].nlargest(3, "v")["v"].tolist()
             assert sorted(sub["v"].tolist(), reverse=True) == want
+
+
+class TestEmbeddingMatrix:
+    """``embedding_matrix`` reads the flat child values; it must give what
+    stacking the per-row Python lists gave."""
+
+    ROWS = [[0.5, -1.25, 3.0], [2.0, 0.0, -0.75], [1e-3, 7.5, 4.25],
+            [-2.5, 1.0, 0.125]]
+
+    @pytest.mark.parametrize("typ", [pa.list_(pa.float32()),
+                                     pa.list_(pa.float64()),
+                                     pa.list_(pa.float32(), 3)])
+    def test_matches_stacked_rows(self, typ):
+        arr = pa.array(self.ROWS, typ)
+        want = np.stack(arr.to_pylist()).astype(np.float64)
+        got = embedding_matrix(arr)
+        assert got.dtype == np.float64 and got.flags.writeable
+        assert np.array_equal(got, want)
+        # chunked, with sliced chunks (their child values start mid-buffer)
+        chunked = pa.chunked_array([arr.slice(1, 2), arr.slice(0, 1),
+                                    arr.slice(3)])
+        assert np.array_equal(embedding_matrix(chunked), want[[1, 2, 0, 3]])
+
+    def test_empty_batch(self):
+        assert embedding_matrix(pa.array([], pa.list_(pa.float32(), 4))).shape == (0, 4)
+        assert embedding_matrix(pa.chunked_array([], pa.list_(pa.float64()))).shape == (0, 0)
+
+    def test_rejects_ragged_or_null_rows(self):
+        with pytest.raises(ValueError, match="widths"):
+            embedding_matrix(pa.array([[1.0, 2.0], [3.0]]))
+        with pytest.raises(ValueError, match="null"):
+            embedding_matrix(pa.array([[1.0], None]))
 
 
 class TestHashJoin:

@@ -94,6 +94,23 @@ class TestModelRetrievalRun:
         assert got["tok_fallback"].any()
         assert (~got["tok_fallback"]).any()
 
+    def test_documents_read_without_pandas_metadata(self):
+        # the sf files carry b"pandas" schema metadata, which Ray cannot
+        # hash when it batches the blocks; read_table drops it
+        from chameleon_entity_linking_ray.pipelines.analytics import read_table
+        import pyarrow as pa
+        import ray
+
+        want = pq.read_table(f"{SF}/documents.parquet")
+        assert b"pandas" in want.schema.metadata
+        for cols in (None, ["text", "doc_id"]):
+            ds = read_table(SF, "documents", cols)
+            got = pa.concat_tables(ray.get(ds.to_arrow_refs()))
+            assert ds.schema().base_schema.metadata is None
+            assert got.schema.metadata is None
+            assert got.equals(want.select(cols or want.column_names)
+                              .replace_schema_metadata(None))
+
     def test_run_shape_invariants(self):
         from chameleon_entity_linking_ray.pipelines.retrieval import (
             model_retrieval_run)

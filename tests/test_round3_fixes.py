@@ -202,6 +202,38 @@ class TestAnnotateOrder:
                            match=r"ValueError: surface '.+' at \(conv_id"):
             annotate_transcripts(ds, clustered, LinkageConfig()).take_all()
 
+    def test_lookup_collected_in_one_execution(self, monkeypatch):
+        # the surface -> cluster_id partials are collected by the execution
+        # that computes them; a schema probe before it would run the
+        # distinct map again under a `limit` operator
+        from ray.data._internal.execution.streaming_executor import (
+            StreamingExecutor,
+        )
+
+        from chameleon_entity_linking_ray.pipelines.linkage import (
+            annotate_transcripts,
+        )
+        transcripts, _ = make_transcripts(n_convs=10, n_entities=5, seed=7)
+        ds = rd.from_arrow(transcripts.select(["conv_id", "turn_idx", "text"]))
+        clustered, _ = run_linkage(ds, LinkageConfig())
+
+        def op_names(op) -> list[str]:
+            return [op.name] + [n for d in op.input_dependencies
+                                for n in op_names(d)]
+
+        plans = []
+        execute = StreamingExecutor.execute
+
+        def spy(self, dag, *args, **kwargs):
+            plans.append(op_names(dag))
+            return execute(self, dag, *args, **kwargs)
+
+        monkeypatch.setattr(StreamingExecutor, "execute", spy)
+        out = annotate_transcripts(ds, clustered, LinkageConfig()).take_all()
+        assert len(out) == transcripts.num_rows
+        assert any("MapBatches(distinct)" in p for p in map(" ".join, plans))
+        assert not [p for p in plans if any("limit" in n for n in p)]
+
     def test_auto_falls_back_on_interleaved(self):
         transcripts, _ = make_transcripts(n_convs=25, n_entities=8, seed=5)
         perm = np.random.default_rng(3).permutation(transcripts.num_rows)

@@ -1,6 +1,6 @@
 """PairScorer unit tests: protocol shape, identity/monotonicity, blend
 semantics (0.9/0.1 per the reference's BiEncoder/test.py:120), frozen
-scores and batch-layout invariance."""
+scores, and batch-layout and pair-chunk invariance."""
 
 import numpy as np
 import pyarrow as pa
@@ -9,7 +9,11 @@ import ray
 import ray.data as rd
 
 from chameleon_entity_linking_ray.config import LinkageConfig
-from chameleon_entity_linking_ray.pipelines.linkage import extract_mentions, score_pairs
+from chameleon_entity_linking_ray.pipelines.linkage import (
+    extract_mentions,
+    generate_pairs,
+    score_pairs,
+)
 from chameleon_entity_linking_ray.stages.scoring import PairScorer, edit_similarity
 from chameleon_entity_linking_ray.stages.stats import build_idf_stats
 from chameleon_entity_linking_ray.stages.vocab import build_vocab
@@ -135,13 +139,28 @@ def pair_batch(pairs):
     })
 
 
+BY_ID = [("left_id", "ascending"), ("right_id", "ascending")]
+
+
 @pytest.fixture(scope="module")
-def stats_ref():
-    """IDF tables of the e2e fixture the FROZEN pairs come from."""
-    cfg = LinkageConfig()
+def vocab():
+    """Surface vocabulary of the e2e fixture the FROZEN pairs come from."""
     turns, _ = make_transcripts(n_convs=60, n_entities=12, seed=42)
-    vocab = build_vocab(extract_mentions(rd.from_arrow(turns), cfg)).materialize()
-    return ray.put(build_idf_stats(vocab, cfg))
+    return build_vocab(extract_mentions(rd.from_arrow(turns), LinkageConfig())) \
+        .materialize()
+
+
+@pytest.fixture(scope="module")
+def stats_ref(vocab):
+    """IDF tables of the e2e fixture."""
+    return ray.put(build_idf_stats(vocab, LinkageConfig()))
+
+
+@pytest.fixture(scope="module")
+def candidates(vocab):
+    """``generate_pairs`` output of the e2e fixture, by (left_id, right_id)."""
+    return pa.concat_tables(ray.get(
+        generate_pairs(vocab, LinkageConfig()).to_arrow_refs())).sort_by(BY_ID)
 
 
 class TestEditSimilarity:
@@ -239,6 +258,50 @@ class TestFrozenScores:
         text = whole.column("text_score").to_pylist()
         assert text[20] == pytest.approx(1.0)
         assert text[-3:] == [0.0, 0.0, 0.0]
+
+
+class TestPairChunks:
+    """One call featurizes its distinct surfaces once and scores its pairs
+    ``scorer_batch_size`` at a time; no chunk layout changes a value."""
+
+    def test_chunked_call_equals_chunk_sized_calls(self, candidates, stats_ref):
+        scorer = PairScorer(LinkageConfig(scorer_batch_size=64), stats_ref)
+        assert candidates.num_rows > 10 * 64
+        calls = pa.concat_tables([scorer(candidates.slice(s, 64))
+                                  for s in range(0, candidates.num_rows, 64)])
+        assert scorer(candidates).equals(calls)
+
+    def test_chunk_boundaries(self, stats_ref):
+        real = [(left, right) for left, right, *_ in FROZEN[:6]]
+        tokenless = [("", "acme industries"), ("acme ind", ""), ("", ""),
+                     (" ", "acme")]
+        batch = pair_batch(real[:4] + tokenless + real[4:])
+        # chunk 2 holds only pairs with a token-less side
+        scorer = PairScorer(LinkageConfig(scorer_batch_size=4), stats_ref)
+        one_by_one = pa.concat_tables([scorer(batch.slice(i, 1))
+                                       for i in range(batch.num_rows)])
+        assert scorer(batch).equals(one_by_one)
+        assert one_by_one.column("text_score").to_pylist()[4:8] == [0.0] * 4
+        # a block smaller than one chunk
+        small = PairScorer(LinkageConfig(), stats_ref)(batch.slice(0, 3))
+        assert small.equals(one_by_one.slice(0, 3))
+        # an empty block keeps the typed output schema
+        empty = scorer(batch.slice(0, 0))
+        assert empty.num_rows == 0 and empty.schema.equals(one_by_one.schema)
+
+    def test_score_pairs_scores_fixture_to_frozen(self, candidates, stats_ref):
+        # default path: one scorer call per pair block (here one block of
+        # more than one chunk)
+        out = pa.concat_tables(ray.get(score_pairs(
+            rd.from_arrow(candidates), LinkageConfig(), stats_ref
+        ).to_arrow_refs())).sort_by(BY_ID)
+        assert out.num_rows == candidates.num_rows > LinkageConfig().scorer_batch_size
+        every_42nd = out.take(pa.array(range(0, out.num_rows, 42)))
+        assert list(zip(every_42nd.column("left_text").to_pylist(),
+                        every_42nd.column("right_text").to_pylist())) == \
+            [(left, right) for left, right, *_ in FROZEN]
+        for i, col in enumerate(SCORES, start=2):
+            assert every_42nd.column(col).to_pylist() == [row[i] for row in FROZEN], col
 
 
 def test_score_pairs_rejects_kwargs_without_scorer_cls():

@@ -1781,7 +1781,9 @@ def clustering_eval(sf_dir: str, window: int = 6, cap: int = 4) -> Dataset:
                          "n": batch.column("n")})
 
     cont = joint.map_batches(rename, batch_format="pyarrow")
-    out = _pair_f1.remote(*cont.to_arrow_refs())
+    # materialized first: to_arrow_refs() on the lazy plan would run it
+    # again up to a limit=1 operator for the schema
+    out = _pair_f1.remote(*cont.materialize().to_arrow_refs())
     return ray.data.from_arrow_refs([out])
 
 

@@ -5,9 +5,9 @@ optional per-stage checkpoints:
 
     read_parquet(transcripts)
       -> map_batches(MentionExtractor)                 # stateless, Arrow
-      -> groupby(norm).count()   = surface vocabulary  # SHUFFLE 1
+      -> per-block norm counts, summed per norm bucket # SHUFFLE 1 = vocabulary
       -> map_batches(LshBander)  bands + token blocks  # stateless numpy
-      -> block_pairs: Arrow map_groups per key bucket  # SHUFFLE 2 (skew-capped)
+      -> block_pairs: pairs per block-key bucket       # SHUFFLE 2 (skew-capped)
          then per pair-hash bucket, lowest key kept    # SHUFFLE 3 pair dedup
       -> map_batches(score_batch) + broadcast IDF      # rerank every pair: one
          per-block distinct-surface features,         #   stateless task per pair
@@ -25,6 +25,9 @@ optional per-stage checkpoints:
       -> distinct (surface, cluster_id) -> ray.put     # vocabulary-sized
       -> map_batches(re-extract + lookup)              # one map, no join
       -> the same order tail as the mentions, on (conv_id, turn_idx)
+
+Every SHUFFLE is ``stages.shuffle.bucketed``: rows hashed on their key to
+a bucket, one Arrow callback per bucket.
 
 All heavy stages run over DISTINCT normalized surfaces (the vocabulary),
 not mention instances — mentions with equal norm share their cluster by

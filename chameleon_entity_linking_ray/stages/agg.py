@@ -19,7 +19,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 from ray.data import Dataset
 
-from chameleon_entity_linking_ray.functions.hashing import hash64, mix64
+from chameleon_entity_linking_ray.stages.shuffle import bucket_of
 
 # out_col -> (src_col, kind); kind in {"sum", "count", "min", "max"}
 AggSpec = dict[str, tuple[str | None, str]]
@@ -28,14 +28,7 @@ _COMBINE = {"sum": "sum", "count": "sum", "min": "min", "max": "max"}
 
 
 def _bucket_of(df: pd.DataFrame, keys: list[str], num_buckets: int) -> np.ndarray:
-    h = np.zeros(len(df), dtype=np.uint64)
-    for i, k in enumerate(keys):
-        vals = df[k].to_numpy()
-        if np.issubdtype(vals.dtype, np.integer):
-            h ^= mix64(vals.astype(np.uint64), seed=31 + i)
-        else:
-            h ^= mix64(hash64(vals.astype(object)), seed=31 + i)
-    return (h % np.uint64(num_buckets)).astype(np.int32)
+    return bucket_of([df[k].to_numpy() for k in keys], num_buckets)
 
 
 def grouped_agg(ds: Dataset, keys: list[str], aggs: AggSpec,

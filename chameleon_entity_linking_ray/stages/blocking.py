@@ -16,13 +16,13 @@ stateless blockers run in one ``map_batches`` over the surface vocabulary
 pairs; the flagship and the corpus pair operators (MinHash, rare-shingle,
 embedding-LSH and rare-token blocking) all run through it. Shuffle
 design: grouping by the raw key would make millions of tiny groups and
-pay a Python call per group. Instead rows are shuffled by
-``hash(key) % num_buckets`` — every member of a block lands in the same
-bucket, the Arrow ``map_groups`` runs once per BUCKET, and pair
-generation inside is vectorized numpy over runs of equal keys
-(``_run_pairs``, no per-block Python loop). A second Arrow ``map_groups``,
-bucketed by a hash of the pair, removes the pairs found in several blocks
-and keeps the lowest shared key.
+pay a Python call per group. Instead rows go through
+``stages.shuffle.bucketed`` on the key — every member of a block lands in
+the same bucket, the callback runs once per BUCKET, and pair generation
+inside is vectorized numpy over runs of equal keys (``_run_pairs``, no
+per-block Python loop). A second ``bucketed`` stage, on the pair
+``(left_id, right_id)``, removes the pairs found in several blocks and
+keeps the lowest shared key.
 
 Skew handling (SURVEY.md §4): blocks larger than ``max_block`` (hot
 tokens — a tool name in every transcript) switch from all-pairs to
@@ -35,8 +35,6 @@ high-recall candidates.
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -48,6 +46,7 @@ from chameleon_entity_linking_ray.config import LinkageConfig
 from chameleon_entity_linking_ray.functions.hashing import hash64, mix64
 from chameleon_entity_linking_ray.functions.minhash import lsh_band_keys, minhash_signatures
 from chameleon_entity_linking_ray.stages.order import in_logical_order
+from chameleon_entity_linking_ray.stages.shuffle import bucketed
 
 
 class LshBander:
@@ -117,10 +116,6 @@ def _same_as_prev(col) -> np.ndarray:
     return np.r_[False, eq.to_numpy(zero_copy_only=False)]
 
 
-def _bucket_of(h: np.ndarray, num_buckets: int) -> pa.Array:
-    return pa.array((h % np.uint64(num_buckets)).astype(np.int32), pa.int32())
-
-
 def _first_per_pair(t: pa.Table, key_col: str) -> pa.Table:
     """One row per (left_id, right_id): the one with the lowest key — the
     reference run merge's keep-first (/root/reference/utils/merge_results.py:14-20)."""
@@ -132,10 +127,8 @@ def _first_per_pair(t: pa.Table, key_col: str) -> pa.Table:
 
 
 def _bucket_pairs(t: pa.Table, id_col: str, key_col: str, window: int,
-                  max_block: int, text_col: str | None,
-                  num_buckets: int) -> pa.Table:
-    """All candidate pairs of one key bucket, deduped within the bucket and
-    tagged with the pair-hash bucket of the dedup shuffle."""
+                  max_block: int, text_col: str | None) -> pa.Table:
+    """All candidate pairs of one key bucket, deduped within the bucket."""
     order = [key_col] + ([text_col] if text_col else []) + [id_col]
     t = t.take(pc.sort_indices(t, sort_keys=[(c, "ascending") for c in order]))
     # distinct on (key, id): text_col is a per-id attribute, so repeats of
@@ -156,8 +149,6 @@ def _bucket_pairs(t: pa.Table, id_col: str, key_col: str, window: int,
         cols[f"left_{text_col}"] = text.take(lo)
         cols[f"right_{text_col}"] = text.take(hi)
     cols[key_col] = t.column(key_col).take(li)
-    h = mix64(idv[lo].astype(np.uint64) ^ mix64(idv[hi], seed=23), seed=29)
-    cols["__pbucket"] = _bucket_of(h, num_buckets)
     return _first_per_pair(pa.table(cols), key_col)
 
 
@@ -175,25 +166,18 @@ def block_pairs(rows: Dataset, id_col: str, key_col: str, window: int,
     ``key_col`` the two share. A Dataset with no pairs has no schema: Ray
     calls no ``map_groups`` UDF on an empty shuffle partition.
 
-    Dataflow: one Arrow ``map_groups`` over ``hash(key) % num_buckets``
-    pairs each bucket; a second one, over a hash of the pair, dedups the
-    pairs found in several blocks."""
+    Dataflow: one ``bucketed`` stage on ``key_col`` pairs each key
+    bucket; a second one, on ``(left_id, right_id)``, dedups the pairs
+    found in several blocks."""
 
-    def key_bucket(batch: pa.Table) -> pa.Table:
-        key = batch.column(key_col)
-        h = mix64(key.to_numpy(zero_copy_only=False), seed=11) \
-            if pa.types.is_integer(key.type) else hash64(key.to_pylist())
-        return batch.append_column("__bucket", _bucket_of(h, num_buckets))
+    def pairs(g: pa.Table) -> pa.Table:
+        return _bucket_pairs(g, id_col, key_col, window, max_block, text_col)
 
     def dedup(g: pa.Table) -> pa.Table:
-        return _first_per_pair(g, key_col).drop_columns(["__pbucket"])
+        return _first_per_pair(g, key_col)
 
-    pairs = partial(_bucket_pairs, id_col=id_col, key_col=key_col,
-                    window=window, max_block=max_block, text_col=text_col,
-                    num_buckets=num_buckets)
-    return rows.map_batches(key_bucket, batch_format="pyarrow") \
-        .groupby("__bucket").map_groups(pairs, batch_format="pyarrow") \
-        .groupby("__pbucket").map_groups(dedup, batch_format="pyarrow")
+    return bucketed(bucketed(rows, [key_col], pairs, num_buckets),
+                    ["left_id", "right_id"], dedup, num_buckets)
 
 
 @ray.remote(num_cpus=0.25)

@@ -6,12 +6,13 @@ connected components; cluster_id = min node id in the component.
 
 Algorithm: alternating large-star / small-star contraction (Kiveris et al.,
 "Connected Components in MapReduce and Beyond" — see PAPERS.md), expressed
-entirely as BUCKETED Ray Data shuffles: each star step is one
-``groupby(bucket).map_groups`` where bucket = hash(u) % B, so the Python
-callback runs once per bucket and the per-node min-neighbor computation is a
-vectorized pandas ``groupby('u').transform('min')`` inside. No joins, no
-per-node Python calls, O(log n) rounds, nothing driver-side except an
-order-independent checksum per round for fixpoint detection.
+entirely as ``stages.shuffle.bucketed`` shuffles on ``u``: the Python
+callback runs once per bucket on an Arrow table, and the per-node
+min-neighbour is numpy over the bucket sorted by (u, v) (the first v of
+each run of equal u). The canonical dedup and the root rows are bucketed
+the same way. No joins, no per-node Python calls, O(log n) rounds,
+nothing driver-side except an order-independent checksum per round for
+fixpoint detection.
 
 A driver union-find fast path handles provably-small edge sets (matched
 pairs after thresholding are a small fraction of the input) in one pass.
@@ -19,94 +20,85 @@ pairs after thresholding are a small fraction of the input) in one pass.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 from ray.data import Dataset
 
 from chameleon_entity_linking_ray.functions.hashing import mix64
+from chameleon_entity_linking_ray.stages.shuffle import bucketed
 
 _M64 = (1 << 64) - 1
 
 
-def _sym_with_bucket(edges: Dataset, num_buckets: int) -> Dataset:
-    """(u,v) -> both directions, plus bucket = hash(u) % B."""
+def _symmetric(edges: Dataset) -> Dataset:
+    """(u,v) -> both directions."""
 
     def expand(batch: pa.Table) -> pa.Table:
-        u = batch.column("u").to_numpy(zero_copy_only=False)
-        v = batch.column("v").to_numpy(zero_copy_only=False)
-        uu = np.concatenate([u, v])
-        vv = np.concatenate([v, u])
-        b = (mix64(uu.astype(np.uint64), seed=13) % np.uint64(num_buckets)).astype(np.int32)
-        return pa.table({"u": pa.array(uu, pa.int64()),
-                         "v": pa.array(vv, pa.int64()),
-                         "bucket": pa.array(b, pa.int32())})
+        u, v = batch.column("u"), batch.column("v")
+        return pa.table({"u": pa.chunked_array(u.chunks + v.chunks, u.type),
+                         "v": pa.chunked_array(v.chunks + u.chunks, v.type)})
 
     return edges.map_batches(expand, batch_format="pyarrow")
 
 
-_EMPTY_EDGES = {"u": pd.Series(dtype=np.int64), "v": pd.Series(dtype=np.int64)}
+def _edges(u: np.ndarray, v: np.ndarray) -> pa.Table:
+    return pa.table({"u": pa.array(u, pa.int64()), "v": pa.array(v, pa.int64())})
 
 
-def _large_star_fn(g: pd.DataFrame) -> pd.DataFrame:
-    """Per-bucket: for each node u, connect neighbors v > u to
-    m = min(neighbors(u) + {u}). Vectorized via groupby-transform."""
-    m = g.groupby("u")["v"].transform("min")
-    m = np.minimum(m.to_numpy(), g["u"].to_numpy())
-    keep = g["v"].to_numpy() > g["u"].to_numpy()
-    out_u = g["v"].to_numpy()[keep]
-    out_v = m[keep]
+def _runs(g: pa.Table) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, v) sorted by (u, v), and the start index of each run of equal u:
+    ``v[starts]`` is the smallest neighbour of each u."""
+    u = g.column("u").to_numpy(zero_copy_only=False)
+    v = g.column("v").to_numpy(zero_copy_only=False)
+    order = np.lexsort((v, u))
+    u, v = u[order], v[order]
+    return u, v, np.flatnonzero(np.diff(u, prepend=u[:1] - 1))
+
+
+def _large_star(g: pa.Table) -> pa.Table:
+    """Per node u: connect each neighbour v > u to
+    m = min(neighbours(u) + {u})."""
+    u, v, starts = _runs(g)
+    m = np.repeat(np.minimum(v[starts], u[starts]),
+                  np.diff(np.r_[starts, len(u)]))
+    keep = v > u
+    return _edges(v[keep], m[keep])
+
+
+def _small_star(g: pa.Table) -> pa.Table:
+    """Per node u: connect its smaller neighbours, and u itself, to
+    m = min(smaller neighbours)."""
+    u, v, starts = _runs(g.filter(pc.less(g.column("v"), g.column("u"))))
+    m = v[starts]
+    out_u = np.concatenate([v, u[starts]])
+    out_v = np.concatenate([np.repeat(m, np.diff(np.r_[starts, len(u)])), m])
     ok = out_u != out_v
-    df = pd.DataFrame({"u": out_u[ok], "v": out_v[ok]})
-    return df if len(df) else pd.DataFrame(_EMPTY_EDGES)
-
-
-def _small_star_fn(g: pd.DataFrame) -> pd.DataFrame:
-    """Per-bucket: for each node u, connect smaller neighbors (and u itself)
-    to m = min(smaller-neighbors + {u})."""
-    g = g[g["v"].to_numpy() < g["u"].to_numpy()]
-    if not len(g):
-        return pd.DataFrame(_EMPTY_EDGES)
-    m = g.groupby("u")["v"].transform("min")
-    m = np.minimum(m.to_numpy(), g["u"].to_numpy())
-    # (v, m) for each smaller neighbor + (u, m) once per u
-    per_u = pd.DataFrame({"u": g["u"].to_numpy(), "v": m}).drop_duplicates("u")
-    out_u = np.concatenate([g["v"].to_numpy(), per_u["u"].to_numpy()])
-    out_v = np.concatenate([m, per_u["v"].to_numpy()])
-    ok = out_u != out_v
-    df = pd.DataFrame({"u": out_u[ok], "v": out_v[ok]})
-    return df if len(df) else pd.DataFrame(_EMPTY_EDGES)
+    return _edges(out_u[ok], out_v[ok])
 
 
 def _star_step(edges: Dataset, fn, num_buckets: int) -> Dataset:
-    return _sym_with_bucket(edges, num_buckets).groupby("bucket") \
-        .map_groups(fn, batch_format="pandas")
+    return bucketed(_symmetric(edges), ["u"], fn, num_buckets)
 
 
 def _canon_dedup(edges: Dataset, num_buckets: int) -> Dataset:
     """Canonicalize to (u=min, v=max), drop self-loops, exact-dedup —
-    bucketed by pair hash, vectorized drop_duplicates per bucket."""
+    bucketed by the pair, one Arrow ``group_by`` per bucket."""
 
     def canon(batch: pa.Table) -> pa.Table:
         u = batch.column("u")
         v = batch.column("v")
-        lo = pc.min_element_wise(u, v)
-        hi = pc.max_element_wise(u, v)
-        t = pa.table({"u": lo, "v": hi})
-        t = t.filter(pc.not_equal(t.column("u"), t.column("v")))
-        h = mix64(t.column("u").to_numpy(zero_copy_only=False).astype(np.uint64) ^
-                  mix64(t.column("v").to_numpy(zero_copy_only=False).astype(np.uint64), seed=3),
-                  seed=7)
-        return t.append_column("bucket", pa.array(
-            (h % np.uint64(num_buckets)).astype(np.int32), pa.int32()))
+        t = pa.table({"u": pc.min_element_wise(u, v),
+                      "v": pc.max_element_wise(u, v)})
+        return t.filter(pc.not_equal(t.column("u"), t.column("v")))
 
-    def dedup(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.drop_duplicates(["u", "v"])[["u", "v"]]
-        return out if len(out) else pd.DataFrame(_EMPTY_EDGES)
+    def dedup(g: pa.Table) -> pa.Table:
+        return g.group_by(["u", "v"], use_threads=False).aggregate([])
 
-    return edges.map_batches(canon, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(dedup, batch_format="pandas")
+    return bucketed(edges.map_batches(canon, batch_format="pyarrow"),
+                    ["u", "v"], dedup, num_buckets)
 
 
 def _checksum(edges: Dataset) -> tuple[int, int]:
@@ -137,13 +129,10 @@ def _unionfind_assignments(edges: Dataset) -> Dataset:
     minimum label is the minimum node id)."""
     import ray.data
 
-    parts_u, parts_v = [], []
+    parts_u, parts_v = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
     for batch in edges.iter_batches(batch_size=1 << 20, batch_format="pyarrow"):
         parts_u.append(batch.column("u").to_numpy(zero_copy_only=False))
         parts_v.append(batch.column("v").to_numpy(zero_copy_only=False))
-    if not parts_u or not sum(len(p) for p in parts_u):
-        return ray.data.from_pandas(pd.DataFrame(
-            {"node": pd.Series(dtype=np.int64), "cluster": pd.Series(dtype=np.int64)}))
     u = np.concatenate(parts_u)
     v = np.concatenate(parts_v)
     nodes, inv = np.unique(np.concatenate([u, v]), return_inverse=True)
@@ -163,8 +152,9 @@ def _unionfind_assignments(edges: Dataset) -> Dataset:
             label = nxt
         if np.array_equal(label, before):
             break
-    return ray.data.from_pandas(pd.DataFrame({
-        "node": nodes, "cluster": nodes[label]}))
+    return ray.data.from_arrow(pa.table({
+        "node": pa.array(nodes, pa.int64()),
+        "cluster": pa.array(nodes[label], pa.int64())}))
 
 
 def connected_components(edges: Dataset, num_partitions: int = 32,
@@ -226,8 +216,6 @@ def connected_components(edges: Dataset, num_partitions: int = 32,
             n_edges = int(ent["input_edges"])
 
     if edges_m is None:
-        import time as _time
-
         n_edges = edges.count()
         if n_edges <= driver_threshold:
             return _unionfind_assignments(edges), {
@@ -238,7 +226,7 @@ def connected_components(edges: Dataset, num_partitions: int = 32,
         # every checksum re-executes all previous rounds. The edge table is
         # the only pinned intermediate and shrinks toward one row per
         # non-root node.
-        t0 = _time.time()
+        t0 = time.time()
         edges_m = _canon_dedup(edges, num_partitions).materialize()
         prev = _checksum(edges_m)
         if mgr is not None:
@@ -251,10 +239,9 @@ def connected_components(edges: Dataset, num_partitions: int = 32,
     rounds = start_round - 1
     converged = False
     for rounds in range(start_round, max_rounds + 1):
-        import time as _time
-        t0 = _time.time()
-        e = _star_step(edges, _large_star_fn, num_partitions)
-        e = _star_step(e, _small_star_fn, num_partitions)
+        t0 = time.time()
+        e = _star_step(edges, _large_star, num_partitions)
+        e = _star_step(e, _small_star, num_partitions)
         e = _canon_dedup(e, num_partitions).materialize()
         cur = _checksum(e)
         if mgr is not None:
@@ -287,19 +274,12 @@ def connected_components(edges: Dataset, num_partitions: int = 32,
     def leaf_rows(batch: pa.Table) -> pa.Table:
         return pa.table({"node": batch.column("v"), "cluster": batch.column("u")})
 
-    def root_rows(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.drop_duplicates(["u"])
-        return pd.DataFrame({"node": out["u"].to_numpy(),
-                             "cluster": out["u"].to_numpy()})
-
-    def add_root_bucket(batch: pa.Table) -> pa.Table:
-        u = batch.column("u").to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = (mix64(u, seed=17) % np.uint64(num_partitions)).astype(np.int32)
-        return batch.append_column("bucket", pa.array(b, pa.int32()))
+    def root_rows(g: pa.Table) -> pa.Table:
+        roots = pc.unique(g.column("u"))
+        return pa.table({"node": roots, "cluster": roots})
 
     leaves = edges.map_batches(leaf_rows, batch_format="pyarrow")
-    roots = edges.map_batches(add_root_bucket, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(root_rows, batch_format="pandas")
+    roots = bucketed(edges, ["u"], root_rows, num_partitions)
     assignments = leaves.union(roots)
     return assignments, {"cc_rounds": rounds, "cc_mode": "star",
                          "cc_edges": n_edges, "cc_converged": converged}

@@ -9,9 +9,9 @@ Why not ``Dataset.join``: Ray 2.49's hash-shuffle join spawns one aggregator
 actor per partition up front; with ``num_partitions`` > cluster CPUs the
 actor pool can never be fully placed and the query deadlocks (observed at
 num_cpus=4 / 32 partitions), and fully-empty sides lose their schema and
-crash the join. The bucketed ``groupby(bucket).map_groups`` form below uses
-the same sort-shuffle machinery as every other stage (no actor pool), scales
-with ``num_partitions`` as plain tasks, and pins output schema explicitly.
+crash the join. ``hash_join`` runs on ``stages.shuffle.bucketed``, the same
+sort-shuffle every other keyed stage uses (no actor pool), scales with
+``num_partitions`` as plain tasks, and pins its output schema explicitly.
 """
 
 from __future__ import annotations
@@ -25,22 +25,10 @@ import pyarrow.compute as pc
 import ray
 from ray.data import Dataset
 
-from chameleon_entity_linking_ray.functions.hashing import hash64, mix64
+from chameleon_entity_linking_ray.stages.shuffle import bucketed
 
 _HOW = {"inner": "inner", "left_outer": "left", "right_outer": "right",
         "full_outer": "outer"}
-
-
-def _key_hash(tbl: pa.Table, cols: tuple[str, ...]) -> np.ndarray:
-    h = np.zeros(tbl.num_rows, dtype=np.uint64)
-    for i, c in enumerate(cols):
-        col = tbl.column(c)
-        if pa.types.is_integer(col.type):
-            vals = col.to_numpy(zero_copy_only=False).astype(np.uint64)
-        else:
-            vals = hash64(col.to_pylist())
-        h ^= mix64(vals, seed=31 + i)
-    return h
 
 
 def hash_join(left: Dataset, right: Dataset, on: tuple[str, ...],
@@ -50,11 +38,12 @@ def hash_join(left: Dataset, right: Dataset, on: tuple[str, ...],
               schemas: tuple[pa.Schema, pa.Schema] | None = None) -> Dataset:
     """Hash-bucketed distributed equi-join (both sides large).
 
-    Both sides are tagged and bucketed by key hash, unioned under one
-    harmonized Arrow schema (absent columns = typed nulls), shuffled once by
-    ``groupby(bucket)``, and merged per bucket with a vectorized
-    ``pd.merge``. Output schema is pinned so empty buckets / all-null fill
-    columns can never change dtypes between runs.
+    Both sides are tagged with their side and unioned under one
+    harmonized Arrow schema (absent columns = typed nulls, right keys under
+    the left key names), shuffled once by ``bucketed`` on the key columns
+    into ``num_partitions`` buckets, and merged per bucket with a
+    vectorized ``pd.merge``. Output schema is pinned so empty buckets /
+    all-null fill columns can never change dtypes between runs.
 
     ``schemas=(left_schema, right_schema)``: caller-supplied Arrow schemas
     skip the materialize-before-schema-probe below — join CHAINS pay the
@@ -85,49 +74,32 @@ def hash_join(left: Dataset, right: Dataset, on: tuple[str, ...],
                                       name + right_suffix in lnames) else name
         rmap[name] = out
 
-    lfields = [(n, lschema.types[lschema.names.index(n)]) for n in lnames]
-    rfields = [(rmap[n], rschema.types[rschema.names.index(n)])
-               for n in rschema.names if n in rmap]
+    lfields = list(zip(lschema.names, lschema.types))
+    rfields = [(rmap[n], t) for n, t in zip(rschema.names, rschema.types)
+               if n in rmap]
     out_schema = pa.schema(lfields + rfields)
-    union_schema = pa.schema(lfields + rfields +
-                             [("__side", pa.int8()), ("__jbucket", pa.int32())])
+    union_schema = pa.schema(lfields + rfields + [("__side", pa.int8())])
+    # output column -> source column per side; the right keys go under the
+    # LEFT key names, so the per-bucket merge is a plain `on=on`
+    sources = ({n: n for n in lnames},
+               {**dict(zip(on, right_on)), **{v: k for k, v in rmap.items()}})
 
-    def tag(side: int, key_cols: tuple[str, ...], rename: dict[str, str]):
+    def tag(side: int):
+        src = sources[side]
+
         def fn(batch: pa.Table) -> pa.Table:
             n = batch.num_rows
-            bucket = (_key_hash(batch, key_cols) %
-                      np.uint64(num_partitions)).astype(np.int32)
-            cols = []
-            for field in union_schema:
-                if field.name == "__side":
-                    cols.append(pa.array(np.full(n, side, np.int8()), pa.int8()))
-                elif field.name == "__jbucket":
-                    cols.append(pa.array(bucket, pa.int32()))
-                else:
-                    src = None
-                    if side == 0 and field.name in lnames:
-                        src = field.name
-                    elif side == 1:
-                        if field.name in on:  # key under left name
-                            src = right_on[on.index(field.name)]
-                        else:
-                            src = next((k for k, v in rename.items()
-                                        if v == field.name), None)
-                    if src is not None and src in batch.column_names:
-                        cols.append(batch.column(src).cast(field.type))
-                    else:
-                        cols.append(pa.nulls(n, field.type))
+            cols = [batch.column(src[f.name]).cast(f.type)
+                    if src.get(f.name) in batch.column_names
+                    else pa.nulls(n, f.type) for f in out_schema]
+            cols.append(pa.array(np.full(n, side, np.int8())))
             return pa.Table.from_arrays(cols, schema=union_schema)
         return fn
 
-    # keys present on both sides: on the right they are emitted under the
-    # LEFT key names, so the per-bucket merge is a plain `on=on`
-    tagged = left.map_batches(tag(0, on, {}), batch_format="pyarrow").union(
-        right.map_batches(tag(1, right_on, rmap), batch_format="pyarrow"))
+    tagged = left.map_batches(tag(0), batch_format="pyarrow").union(
+        right.map_batches(tag(1), batch_format="pyarrow"))
 
     how = _HOW[join_type]
-    lcols = [f.name for f in out_schema if f.name in lnames]
-    rcols = [f.name for f in out_schema if f.name not in lnames]
 
     def merge(t: pa.Table) -> pa.Table:
         g = t.to_pandas()
@@ -139,14 +111,14 @@ def hash_join(left: Dataset, right: Dataset, on: tuple[str, ...],
         for name, col in zip(t.column_names, t.columns):
             if pa.types.is_integer(col.type) and col.null_count:
                 g[name] = col.to_pandas(types_mapper=pd.ArrowDtype)
-        lpart = g.loc[g["__side"] == 0, lcols]
-        rpart = g.loc[g["__side"] == 1, list(on) + rcols]
+        lpart = g.loc[g["__side"] == 0, lnames]
+        rpart = g.loc[g["__side"] == 1, list(on) + list(rmap.values())]
         out = lpart.merge(rpart, how=how, on=list(on))
         return pa.Table.from_pandas(out[out_schema.names], schema=out_schema,
                                     preserve_index=False) \
             .replace_schema_metadata(None)
 
-    return tagged.groupby("__jbucket").map_groups(merge, batch_format="pyarrow")
+    return bucketed(tagged, on, merge, num_partitions)
 
 
 def broadcast_semi_join(ds: Dataset, keys: Iterable, key_col: str,

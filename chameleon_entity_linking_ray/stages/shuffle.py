@@ -1,0 +1,70 @@
+"""The engine's keyed shuffle: one key hash and one bucketed Arrow stage.
+
+Grouping by a raw key would pay one Python call per distinct key. The
+vocabulary merge, both blocked-pair stages, the connected-components star
+steps and ``hash_join`` instead shuffle rows by ``key_hash % num_buckets``:
+all rows of a key meet in one bucket, and the callback runs once per
+bucket on an Arrow table, vectorized over the keys inside it.
+``stages.agg`` buckets its pandas partials with the same ``bucket_of``.
+"""
+
+from __future__ import annotations
+
+from functools import wraps
+from typing import Callable, Sequence
+
+import numpy as np
+import pyarrow as pa
+from ray.data import Dataset
+
+from chameleon_entity_linking_ray.functions.hashing import hash64, mix64
+
+_BUCKET = "__bucket"
+
+
+def key_hash(columns: Sequence) -> np.ndarray:
+    """uint64 hash per row of its key columns' values, one array per
+    column: an integer numpy array by value, anything else by ``hash64``,
+    each column mixed with its own seed."""
+    h = np.zeros(len(columns[0]), dtype=np.uint64)
+    for i, vals in enumerate(columns):
+        if not (isinstance(vals, np.ndarray)
+                and np.issubdtype(vals.dtype, np.integer)):
+            vals = hash64(vals)
+        h ^= mix64(vals, seed=31 + i)
+    return h
+
+
+def bucket_of(columns: Sequence, num_buckets: int) -> np.ndarray:
+    return (key_hash(columns) % np.uint64(num_buckets)).astype(np.int32)
+
+
+def arrow_key_values(table: pa.Table, keys: Sequence[str]) -> list:
+    """``key_hash`` input for Arrow key columns: integers as numpy,
+    other types as Python values."""
+    return [col.to_numpy(zero_copy_only=False).astype(np.uint64)
+            if pa.types.is_integer(col.type) else col.to_pylist()
+            for col in map(table.column, keys)]
+
+
+def bucketed(ds: Dataset, keys: Sequence[str],
+             fn: Callable[[pa.Table], pa.Table], num_buckets: int) -> Dataset:
+    """``fn`` over each of ``num_buckets`` buckets of ``ds``, shuffled by
+    the hash of its ``keys`` columns. ``fn`` gets all rows of a bucket (so
+    every row of a key tuple) in one Arrow table without a bucket column.
+    An empty input gives no rows and no schema: Ray calls no
+    ``map_groups`` UDF on an empty shuffle partition."""
+
+    def add_bucket(batch: pa.Table) -> pa.Table:
+        # pandas schema metadata (a dict) would make Ray fail to hash the
+        # shuffled blocks' schemas
+        b = bucket_of(arrow_key_values(batch, keys), num_buckets)
+        return batch.replace_schema_metadata(None) \
+            .append_column(_BUCKET, pa.array(b))
+
+    @wraps(fn)
+    def per_bucket(group: pa.Table) -> pa.Table:
+        return fn(group.drop_columns([_BUCKET]))
+
+    return ds.map_batches(add_bucket, batch_format="pyarrow") \
+        .groupby(_BUCKET).map_groups(per_bucket, batch_format="pyarrow")

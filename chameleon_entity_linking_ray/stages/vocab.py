@@ -11,11 +11,11 @@ reference re-embedding every duplicated passage independently
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 from ray.data import Dataset
 
-from chameleon_entity_linking_ray.functions.hashing import hash64, mix64, node_id
+from chameleon_entity_linking_ray.functions.hashing import node_id
+from chameleon_entity_linking_ray.stages.shuffle import bucketed
 
 
 def add_node_column(text_col: str = "norm", out_col: str = "node",
@@ -55,8 +55,7 @@ def build_vocab(mentions: Dataset, text_col: str = "norm",
         import pyarrow.compute as pc
         if batch.num_rows == 0:
             return pa.table({text_col: pa.array([], pa.string()),
-                             "n_mentions": pa.array([], pa.int64()),
-                             "__vbucket": pa.array([], pa.int32())})
+                             "n_mentions": pa.array([], pa.int64())})
         if text_col in batch.column_names:
             vc = pc.value_counts(batch.column(text_col).combine_chunks())
             part = pa.table({text_col: vc.field("values"),
@@ -75,10 +74,8 @@ def build_vocab(mentions: Dataset, text_col: str = "norm",
             # distinct surfaces can share a norm -> re-aggregate by norm
             part = combine(pa.table({
                 text_col: norm, "n_mentions": vc.field("counts").cast(pa.int64())}))
-        b = (mix64(hash64(part.column(text_col).to_pylist()), seed=67) %
-             np.uint64(num_buckets)).astype(np.int32)
-        return part.append_column("__vbucket", pa.array(b, pa.int32()))
+        return part
 
-    vocab = mentions.map_batches(partial, batch_format="pyarrow") \
-        .groupby("__vbucket").map_groups(combine, batch_format="pyarrow")
+    vocab = bucketed(mentions.map_batches(partial, batch_format="pyarrow"),
+                     [text_col], combine, num_buckets)
     return vocab.map_batches(add_node_column(text_col), batch_format="pyarrow")

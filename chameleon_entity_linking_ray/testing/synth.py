@@ -153,3 +153,16 @@ def write_fixture(out_dir: str, **kwargs) -> tuple[str, str]:
     pq.write_table(transcripts, tp)
     pq.write_table(truth, mp)
     return tp, mp
+
+
+def make_chain_edges(n_edges: int, chain_len: int, seed: int = 0) -> pa.Table:
+    """Edges ``(u:int64, v:int64)`` of disjoint paths: a seeded permutation
+    of node ids cut into chains of ``chain_len`` nodes, each node linked to
+    the next. Every chain is one component whose smallest id sits at a
+    random position along it, so the number of connected-components rounds
+    grows with ``chain_len``."""
+    n_chains = max(1, n_edges // (chain_len - 1))
+    ids = np.random.RandomState(seed).permutation(n_chains * chain_len) \
+        .astype(np.int64).reshape(n_chains, chain_len)
+    return pa.table({"u": pa.array(ids[:, :-1].ravel()),
+                     "v": pa.array(ids[:, 1:].ravel())})

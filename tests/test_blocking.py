@@ -115,9 +115,9 @@ class TestPairGeneration:
         # (the same as a bucket with pairs), never a column-less table; a
         # whole Dataset without pairs still has none (see block_pairs)
         t = LshBander(LinkageConfig())(vocab_batch(["qqqq zzzz", "wwww rrrr"]))
-        out = _bucket_pairs(t, "node", "block_key", 8, 64, "norm", 32)
+        out = _bucket_pairs(t, "node", "block_key", 8, 64, "norm")
         assert out.num_rows == 0
         assert out.schema == pa.schema([
             ("left_id", pa.int64()), ("right_id", pa.int64()),
             ("left_norm", pa.string()), ("right_norm", pa.string()),
-            ("block_key", pa.int64()), ("__pbucket", pa.int32())])
+            ("block_key", pa.int64())])

@@ -77,6 +77,26 @@ class TestOrderAuto:
         finally:
             ctx.execution_options.preserve_order = saved
 
+    def test_probe_reads_bounds_in_logical_order(self, monkeypatch):
+        # Timing cannot make blocks finish out of order reliably (the test
+        # above passes with or without the pin), so check the probe's
+        # plumbing instead: its one collect of the per-block bounds goes
+        # through the order pin, as take_all.
+        import chameleon_entity_linking_ray.pipelines.linkage as linkage
+        real = linkage.in_logical_order
+        actions = []
+
+        def recorder(ds, action):
+            actions.append(action)
+            return real(ds, action)
+
+        monkeypatch.setattr(linkage, "in_logical_order", recorder)
+        a = pa.table({"k": ["a", "b"], "t": [0, 0]})
+        b = pa.table({"k": ["c", "d"], "t": [0, 0]})
+        assert blocks_range_partitioned(
+            rd.from_arrow(a).union(rd.from_arrow(b)), keys=["k", "t"])
+        assert actions == [rd.Dataset.take_all]
+
     def test_auto_falls_back_to_global_on_interleaved_input(self):
         transcripts, _ = make_transcripts(n_convs=30, n_entities=8, seed=7)
         perm = np.random.default_rng(0).permutation(transcripts.num_rows)

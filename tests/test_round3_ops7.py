@@ -296,6 +296,51 @@ class TestClusteringEval:
         assert r2["pairs_true"] == 0 and r2["recall"] == 0.0
         assert r2["f1"] == 0.0
 
+    def test_mostly_singletons_one_execution(self, tmp_path, monkeypatch):
+        # 300 distinct random names (singleton clusters), 20 exact
+        # duplicates (truth pairs) and 10 one-letter variants (predicted
+        # merges across truth groups)
+        import duckdb
+        from ray.data._internal.execution.streaming_executor import (
+            StreamingExecutor,
+        )
+
+        import __ray_entry__ as entry
+        from chameleon_entity_linking_ray.pipelines import corpus
+        rng = np.random.RandomState(5)
+        names = ["".join(rng.choice(list("abcdefghijklmnopqrstuvwxyz"), 12))
+                 for _ in range(300)]
+        names += names[:20] + [n[:-1] + "+" for n in names[20:30]]
+        d = tmp_path / "sf"
+        d.mkdir()
+        pd.DataFrame({"p_partkey": np.arange(len(names), dtype=np.int64),
+                      "p_name": names}).to_parquet(d / "part.parquet")
+
+        def op_names(op) -> list[str]:
+            return [op.name] + [n for d in op.input_dependencies
+                                for n in op_names(d)]
+
+        plans = []
+        execute = StreamingExecutor.execute
+
+        def spy(self, dag, *args, **kwargs):
+            plans.append(op_names(dag))
+            return execute(self, dag, *args, **kwargs)
+
+        monkeypatch.setattr(StreamingExecutor, "execute", spy)
+        got = corpus.clustering_eval(str(d)).to_pandas()
+        con = duckdb.connect()
+        con.sql("CREATE VIEW part AS SELECT * FROM "
+                f"read_parquet('{d}/part.parquet')")
+        want = con.sql(entry.oracle_sql()["clustering_eval"]).df()
+        assert got["pairs_true"].iloc[0] == 20
+        pd.testing.assert_frame_equal(got, want[list(got.columns)],
+                                      check_dtype=False)
+        # the contingency blocks reach the fold from the execution that
+        # computes them; a schema probe would re-run it under a limit
+        assert any("MapBatches(rename)" in " ".join(p) for p in plans)
+        assert not [p for p in plans if any("limit" in n for n in p)]
+
 
 class TestOutlierAndBlockingStats:
     def test_outlier_fences(self, tmp_path):

@@ -1,0 +1,131 @@
+"""stages/shuffle: one key hash and one bucketed Arrow shuffle, and the
+connected-components star loop that runs on it."""
+
+import uuid
+
+import numpy as np
+import pandas as pd
+import pyarrow as pa
+import pytest
+import ray.data as rd
+
+from chameleon_entity_linking_ray.stages.agg import _bucket_of
+from chameleon_entity_linking_ray.stages.cluster import (
+    _unionfind_assignments,
+    connected_components,
+)
+from chameleon_entity_linking_ray.functions.hashing import hash64, mix64
+from chameleon_entity_linking_ray.stages.shuffle import (
+    arrow_key_values,
+    bucketed,
+    key_hash,
+)
+from chameleon_entity_linking_ray.testing.synth import make_chain_edges
+
+KEYS = pd.DataFrame({"i": np.array([0, 1, -7, 2**62, 123456789], np.int64),
+                     "s": ["", "a", "acme corp", "wayne industries", "ümlaut"]})
+
+# key hashes of KEYS before the shared helper existed: stages/joins'
+# per-column hash and stages/agg's bucket of the same algorithm
+FROZEN_HASH = {
+    ("i",): [3998411274607395365, 10820770463232788922, 15779986192206077410,
+             554418521603026450, 16411024287878306682],
+    ("s",): [708086124761580536, 15524877990830848331, 18267194077799218195,
+             11428683550989634114, 17988247639561975630],
+    ("i", "s"): [1082690751376200590, 15882670695940476769,
+                 12874211508030561482, 11715124627608863460,
+                 3811829544438237646],
+}
+FROZEN_BUCKET_32 = {("i",): [5, 26, 2, 18, 26], ("s",): [24, 11, 19, 2, 14],
+                    ("i", "s"): [14, 1, 10, 4, 14]}
+FROZEN_BUCKET_P31 = {
+    ("i",): [400453091, 1969077387, 821995921, 1282346876, 1053471429],
+    ("s",): [1148405024, 1873255900, 1566291084, 139196555, 320857898],
+    ("i", "s"): [594415247, 1289681174, 1488790300, 1295481461, 1046558555],
+}
+
+
+@pytest.mark.parametrize("keys", sorted(FROZEN_HASH))
+def test_key_hash_matches_frozen_values(keys):
+    t = pa.Table.from_pandas(KEYS, preserve_index=False)
+    assert key_hash(arrow_key_values(t, keys)).tolist() == FROZEN_HASH[keys]
+    # agg's buckets (grouped_agg, distinct, grouped_top_k, traindata and
+    # analytics' qid buckets) did not move
+    assert _bucket_of(KEYS, list(keys), 32).tolist() == FROZEN_BUCKET_32[keys]
+    assert _bucket_of(KEYS, list(keys), 2**31 - 1).tolist() == \
+        FROZEN_BUCKET_P31[keys]
+
+
+def old_agg_bucket_of(df, keys, num_buckets):
+    """stages/agg's bucket function before it called ``bucket_of``."""
+    h = np.zeros(len(df), dtype=np.uint64)
+    for i, k in enumerate(keys):
+        vals = df[k].to_numpy()
+        if np.issubdtype(vals.dtype, np.integer):
+            h ^= mix64(vals.astype(np.uint64), seed=31 + i)
+        else:
+            h ^= mix64(hash64(vals.astype(object)), seed=31 + i)
+    return (h % np.uint64(num_buckets)).astype(np.int32)
+
+
+def test_agg_buckets_unmoved_for_every_dtype():
+    df = pd.DataFrame({
+        "f": [0.5, np.nan, -1.0, 1e300, 0.0],
+        "n": pd.array([1, None, 3, 2**40, -5], dtype="Int64"),
+        "t": pd.to_datetime(["2020-01-01 00:00", "1999-12-31 23:59:59.000000001",
+                             "2038-01-19 00:00", "1970-01-01 00:00",
+                             "2001-09-09 00:00"], format="ISO8601"),
+        "b": [True, False, True, True, False],
+        "u": np.array([1, 2**63, 3, 4, 5], np.uint64),
+        "o": ["a", None, "", "b", "a"]})
+    for keys in (["f"], ["n"], ["t"], ["b"], ["u"], ["o"], ["f", "t", "n"]):
+        assert _bucket_of(df, keys, 97).tolist() == \
+            old_agg_bucket_of(df, keys, 97).tolist(), keys
+
+
+def call_ids():
+    """A bucket callback tagging its rows with an id of the call (built in
+    a test, so Ray ships it by value)."""
+
+    def tag(g: pa.Table) -> pa.Table:
+        assert "__bucket" not in g.column_names
+        return g.append_column("call",
+                               pa.array([uuid.uuid4().hex] * g.num_rows))
+
+    return tag
+
+
+@pytest.mark.parametrize("keys", [["i"], ["s"], ["i", "s"]])
+def test_bucketed_puts_each_key_in_one_call(keys):
+    rng = np.random.RandomState(0)
+    n = 600
+    t = pa.table({"i": pa.array(rng.randint(0, 40, n), pa.int64()),
+                  "s": pa.array([f"k{x}" for x in rng.randint(0, 20, n)]),
+                  "row": pa.array(np.arange(n), pa.int64())})
+    ds = rd.from_arrow(t).repartition(5)
+    out = bucketed(ds, keys, call_ids(), 4).to_pandas()
+    assert sorted(out["row"]) == list(range(n))
+    assert list(out.columns) == ["i", "s", "row", "call"]
+    calls_per_key = out.groupby(keys)["call"].nunique()
+    assert (calls_per_key == 1).all()
+    assert out["call"].nunique() >= 2  # the keys spread over several buckets
+
+
+def test_bucketed_empty_input_yields_no_rows():
+    empty = rd.from_arrow(pa.table({"k": pa.array([], pa.int64())}))
+    assert bucketed(empty, ["k"], call_ids(), 4).count() == 0
+    filtered = rd.range(10).filter(lambda r: r["id"] < 0)
+    assert bucketed(filtered, ["id"], call_ids(), 4).count() == 0
+
+
+@pytest.mark.parametrize("chain_len", [16, 64])
+def test_star_loop_matches_unionfind_on_chains(chain_len):
+    edges = rd.from_arrow(make_chain_edges(3000, chain_len, seed=chain_len))
+    star, stats = connected_components(edges, num_partitions=4,
+                                       driver_threshold=0)
+    assert stats["cc_mode"] == "star" and stats["cc_converged"]
+    got = star.to_pandas().sort_values("node", ignore_index=True)
+    want = _unionfind_assignments(edges).to_pandas() \
+        .sort_values("node", ignore_index=True)
+    assert got.equals(want)
+    assert got["cluster"].nunique() == 3000 // (chain_len - 1)

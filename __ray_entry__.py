@@ -903,7 +903,7 @@ def _oracle_sql_base() -> dict[str, str]:
                    LEAD(ts_us) OVER (PARTITION BY user_id
                        ORDER BY ts_us, event_id) AS valid_to_us
             FROM e""",
-        # Bloom-prefiltered semi-join == plain semi-join (exact cleanup)
+        # semi attach == plain semi-join
         "lineitem_big_orders": """
             SELECT l_orderkey, l_partkey,
                    CAST(trunc(l_extendedprice*100) AS BIGINT) AS price_c

@@ -32,10 +32,7 @@ from chameleon_entity_linking_ray.stages.agg import (
     grouped_top_k,
     top_k,
 )
-from chameleon_entity_linking_ray.stages.joins import (
-    broadcast_hash_join,
-    semi_join_ds,
-)
+from chameleon_entity_linking_ray.stages.joins import attach
 
 
 def read_table(sf_dir: str, name: str, columns: list[str] | None = None) -> Dataset:
@@ -110,11 +107,10 @@ def segment_revenue(sf_dir: str) -> Dataset:
         return pa.table({"o_custkey": batch.column("o_custkey"),
                          "total_c": _cents(batch.column("o_totalprice"))})
 
-    # dimension join: customer is the small side — broadcast it once
-    # (ray.put) and merge map-side; no shuffle of the orders stream
-    joined = broadcast_hash_join(orders.map_batches(prep, batch_format="pyarrow"),
-                                 cust, on=("o_custkey",),
-                                 right_on=("c_custkey",), join_type="inner")
+    # dimension join: customer is the small side — attach broadcasts it
+    # once and probes it map-side; no shuffle of the orders stream
+    joined = attach(orders.map_batches(prep, batch_format="pyarrow"), cust,
+                    "o_custkey", right_on="c_custkey")
     return grouped_agg(joined, keys=["c_mktsegment"],
                        aggs={"n_orders": (None, "count"),
                              "sum_total_c": ("total_c", "sum")})
@@ -132,12 +128,10 @@ def nation_customers(sf_dir: str) -> Dataset:
                          "acctbal_c": _cents(batch.column("c_acctbal"))})
 
     # nation (25 rows) and region (5 rows) are broadcast dimensions:
-    # two map-side merges, zero shuffles
-    j = broadcast_hash_join(cust.map_batches(prep, batch_format="pyarrow"),
-                            nation, on=("c_nationkey",),
-                            right_on=("n_nationkey",), join_type="inner")
-    j = broadcast_hash_join(j, region, on=("n_regionkey",),
-                            right_on=("r_regionkey",), join_type="inner")
+    # two map-side lookups, zero shuffles
+    j = attach(cust.map_batches(prep, batch_format="pyarrow"), nation,
+               "c_nationkey", right_on="n_nationkey")
+    j = attach(j, region, "n_regionkey", right_on="r_regionkey")
     return grouped_agg(j, keys=["r_name", "n_name"],
                        aggs={"n_cust": (None, "count"),
                              "sum_acctbal_c": ("acctbal_c", "sum")})
@@ -167,8 +161,9 @@ def events_semi(sf_dir: str) -> Dataset:
     cust = read_table(sf_dir, "customer", ["c_custkey", "c_acctbal"])
     rich = cust.filter(expr="c_acctbal > 5000")
     ev = read_table(sf_dir, "events", ["user_id", "event_type"])
-    # key side stays Arrow end-to-end: block refs -> one broadcast array
-    kept = semi_join_ds(ev, rich, "user_id", keys_col="c_custkey")
+    # key side stays Arrow end-to-end: block refs -> one sorted key array
+    # built in a worker and broadcast
+    kept = attach(ev, rich, "user_id", right_on="c_custkey", how="semi")
     return grouped_agg(kept, keys=["event_type"],
                        aggs={"n_events": (None, "count")})
 
@@ -182,7 +177,7 @@ def customers_no_orders(sf_dir: str) -> Dataset:
         .filter(expr="o_totalprice > 300000.0")
     big = distinct(orders.select_columns(["o_custkey"]), ["o_custkey"])
     cust = read_table(sf_dir, "customer", ["c_custkey"])
-    return semi_join_ds(cust, big, "c_custkey", keys_col="o_custkey", anti=True)
+    return attach(cust, big, "c_custkey", right_on="o_custkey", how="anti")
 
 
 # --- Q: union + dedup keep-first by priority (D1, merge_results parity) ---
@@ -783,7 +778,7 @@ def profile_orders(sf_dir: str) -> Dataset:
                                                  batch_format="pyarrow"),
                               ["col", "val"]),
                      keys=["col"], aggs={"n_distinct": (None, "count")})
-    return broadcast_hash_join(stats, nd, on=("col",), join_type="inner")
+    return attach(stats, nd, "col")
 
 
 @ray.remote
@@ -985,13 +980,10 @@ def rollup_revenue(sf_dir: str) -> Dataset:
         return pa.table({"o_custkey": batch.column("o_custkey"),
                          "total_c": _cents(batch.column("o_totalprice"))})
 
-    j = broadcast_hash_join(orders.map_batches(prep, batch_format="pyarrow"),
-                            cust, on=("o_custkey",),
-                            right_on=("c_custkey",), join_type="inner")
-    j = broadcast_hash_join(j, nation, on=("c_nationkey",),
-                            right_on=("n_nationkey",), join_type="inner")
-    j = broadcast_hash_join(j, region, on=("n_regionkey",),
-                            right_on=("r_regionkey",), join_type="inner")
+    j = attach(orders.map_batches(prep, batch_format="pyarrow"), cust,
+               "o_custkey", right_on="c_custkey")
+    j = attach(j, nation, "c_nationkey", right_on="n_nationkey")
+    j = attach(j, region, "n_regionkey", right_on="r_regionkey")
     fine = grouped_agg(j, keys=["r_name", "n_name"],
                        aggs={"revenue_c": ("total_c", "sum")})
 
@@ -1257,13 +1249,10 @@ def cube_revenue(sf_dir: str) -> Dataset:
         return pa.table({"o_custkey": batch.column("o_custkey"),
                          "total_c": _cents(batch.column("o_totalprice"))})
 
-    j = broadcast_hash_join(orders.map_batches(prep, batch_format="pyarrow"),
-                            cust, on=("o_custkey",),
-                            right_on=("c_custkey",), join_type="inner")
-    j = broadcast_hash_join(j, nation, on=("c_nationkey",),
-                            right_on=("n_nationkey",), join_type="inner")
-    j = broadcast_hash_join(j, region, on=("n_regionkey",),
-                            right_on=("r_regionkey",), join_type="inner")
+    j = attach(orders.map_batches(prep, batch_format="pyarrow"), cust,
+               "o_custkey", right_on="c_custkey")
+    j = attach(j, nation, "c_nationkey", right_on="n_nationkey")
+    j = attach(j, region, "n_regionkey", right_on="r_regionkey")
     fine = grouped_agg(j, keys=["r_name", "n_name"],
                        aggs={"revenue_c": ("total_c", "sum")})
 
@@ -1311,9 +1300,8 @@ def segment_percentiles(sf_dir: str, num_buckets: int = 32) -> Dataset:
         return pa.table({"o_custkey": batch.column("o_custkey"),
                          "total_c": _cents(batch.column("o_totalprice"))})
 
-    j = broadcast_hash_join(orders.map_batches(prep, batch_format="pyarrow"),
-                            cust, on=("o_custkey",),
-                            right_on=("c_custkey",), join_type="inner")
+    j = attach(orders.map_batches(prep, batch_format="pyarrow"), cust,
+               "o_custkey", right_on="c_custkey")
     counts = grouped_agg(j, keys=["c_mktsegment", "total_c"],
                          aggs={"n": (None, "count")},
                          num_buckets=num_buckets)
@@ -1456,9 +1444,8 @@ def segment_stats(sf_dir: str) -> Dataset:
         return pa.table({"o_custkey": batch.column("o_custkey"),
                          "d": d, "d2": pc.multiply(d, d)})
 
-    j = broadcast_hash_join(orders.map_batches(prep, batch_format="pyarrow"),
-                            cust, on=("o_custkey",),
-                            right_on=("c_custkey",), join_type="inner")
+    j = attach(orders.map_batches(prep, batch_format="pyarrow"), cust,
+               "o_custkey", right_on="c_custkey")
     moments = grouped_agg(j, keys=["c_mktsegment"],
                           aggs={"n": (None, "count"),
                                 "sum_d": ("d", "sum"),
@@ -1645,16 +1632,12 @@ def pivot_revenue(sf_dir: str) -> Dataset:
         return pa.table({"o_custkey": batch.column("o_custkey"),
                          "total_c": _cents(batch.column("o_totalprice"))})
 
-    j = broadcast_hash_join(orders.map_batches(prep, batch_format="pyarrow"),
-                            cust, on=("o_custkey",),
-                            right_on=("c_custkey",), join_type="inner")
+    j = attach(orders.map_batches(prep, batch_format="pyarrow"), cust,
+               "o_custkey", right_on="c_custkey")
     cseg = read_table(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
-    j = broadcast_hash_join(j, cseg, on=("o_custkey",),
-                            right_on=("c_custkey",), join_type="inner")
-    j = broadcast_hash_join(j, nation, on=("c_nationkey",),
-                            right_on=("n_nationkey",), join_type="inner")
-    j = broadcast_hash_join(j, region, on=("n_regionkey",),
-                            right_on=("r_regionkey",), join_type="inner")
+    j = attach(j, cseg, "o_custkey", right_on="c_custkey")
+    j = attach(j, nation, "c_nationkey", right_on="n_nationkey")
+    j = attach(j, region, "n_regionkey", right_on="r_regionkey")
     fine = grouped_agg(j, keys=["r_name", "c_mktsegment"],
                        aggs={"revenue_c": ("total_c", "sum")})
 
@@ -2060,8 +2043,7 @@ def priority_segment_chisq(sf_dir: str) -> Dataset:
     """
     orders = read_table(sf_dir, "orders", ["o_custkey", "o_orderpriority"])
     cust = read_table(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
-    j = broadcast_hash_join(orders, cust, on=("o_custkey",),
-                            right_on=("c_custkey",), join_type="inner")
+    j = attach(orders, cust, "o_custkey", right_on="c_custkey")
     cont = grouped_agg(j, keys=["o_orderpriority", "c_mktsegment"],
                        aggs={"observed": (None, "count")})
     cdf = cont.to_pandas()
@@ -2107,13 +2089,10 @@ def revenue_share(sf_dir: str) -> Dataset:
         return pa.table({"o_custkey": batch.column("o_custkey"),
                          "total_c": _cents(batch.column("o_totalprice"))})
 
-    j = broadcast_hash_join(orders.map_batches(prep, batch_format="pyarrow"),
-                            cust, on=("o_custkey",),
-                            right_on=("c_custkey",), join_type="inner")
-    j = broadcast_hash_join(j, nation, on=("c_nationkey",),
-                            right_on=("n_nationkey",), join_type="inner")
-    j = broadcast_hash_join(j, region, on=("n_regionkey",),
-                            right_on=("r_regionkey",), join_type="inner")
+    j = attach(orders.map_batches(prep, batch_format="pyarrow"), cust,
+               "o_custkey", right_on="c_custkey")
+    j = attach(j, nation, "c_nationkey", right_on="n_nationkey")
+    j = attach(j, region, "n_regionkey", right_on="r_regionkey")
     fine = grouped_agg(j, keys=["r_name", "n_name"],
                        aggs={"revenue_c": ("total_c", "sum")}).to_pandas()
     ref = ray.put((fine.groupby("r_name")["revenue_c"].sum().to_dict(),
@@ -2473,16 +2452,12 @@ def user_value_history(sf_dir: str, num_buckets: int = 32) -> Dataset:
 
 def lineitem_big_orders(sf_dir: str,
                         threshold_c: int = 40_000_000) -> Dataset:
-    """Semi-join surface with the BLOOM PREFILTER primitive
-    (stages/joins.py:bloom_semi_join): lineitem rows whose order total
-    clears ``threshold_c`` cents. The key side folds into a fixed-size
-    bitmap (combiner OR-merge) instead of a broadcast key set — the
-    semi-join shape that still works when the key set itself is
-    table-scale. Exact answer (Bloom false positives removed by the
-    exact pass), so the plain SQL semi-join is the oracle.
+    """Semi-join surface: lineitem rows whose order total clears
+    ``threshold_c`` cents, a ``semi`` ``attach`` against the big-order
+    keys (a broadcast while they fit ``joins.BROADCAST_ROWS``, a bucketed
+    shuffle when the key set itself is table-scale). The plain SQL
+    semi-join is the oracle.
     """
-    from chameleon_entity_linking_ray.stages.joins import bloom_semi_join
-
     orders = read_table(sf_dir, "orders", ["o_orderkey", "o_totalprice"])
 
     def big(batch: pa.Table) -> pa.Table:
@@ -2501,9 +2476,8 @@ def lineitem_big_orders(sf_dir: str,
             "l_partkey": batch.column("l_partkey").cast(pa.int64()),
             "price_c": _cents(batch.column("l_extendedprice"))})
 
-    return bloom_semi_join(li.map_batches(prep, batch_format="pyarrow"),
-                           keys, key_col="l_orderkey",
-                           keys_col="o_orderkey")
+    return attach(li.map_batches(prep, batch_format="pyarrow"), keys,
+                  "l_orderkey", right_on="o_orderkey", how="semi")
 
 
 def zorder_parts(sf_dir: str, bits: int = 16) -> Dataset:
@@ -2694,8 +2668,6 @@ def dq_checks(sf_dir: str) -> Dataset:
     small by definition) and counts anti-join survivors — no shuffle of
     the fact table anywhere. Driver state: one scalar per rule.
     """
-    from chameleon_entity_linking_ray.stages.joins import broadcast_semi_join
-
     orders = read_table(sf_dir, "orders",
                         ["o_orderkey", "o_custkey", "o_totalprice",
                          "o_orderdate"])
@@ -2730,12 +2702,8 @@ def dq_checks(sf_dir: str) -> Dataset:
                               ["o_orderkey"]).count())
 
     cust = read_table(sf_dir, "customer", ["c_custkey"])
-    ckeys = pa.concat_tables(
-        [b for b in cust.iter_batches(batch_format="pyarrow")]) \
-        .column("c_custkey").combine_chunks()
-    fk_bad = int(broadcast_semi_join(orders.select_columns(["o_custkey"]),
-                                     ckeys, "o_custkey",
-                                     anti=True).count())
+    fk_bad = attach(orders.select_columns(["o_custkey"]), cust, "o_custkey",
+                    right_on="c_custkey", how="anti").count()
 
     rules = ["unique_orderkey", "fk_custkey_customer", "null_custkey",
              "nonneg_price", "date_in_range"]

@@ -35,6 +35,7 @@ from chameleon_entity_linking_ray.functions.text import (
 from chameleon_entity_linking_ray.pipelines.analytics import read_table
 from chameleon_entity_linking_ray.stages.agg import embedding_matrix, grouped_agg, grouped_top_k
 from chameleon_entity_linking_ray.stages.blocking import block_pairs
+from chameleon_entity_linking_ray.stages.joins import attach
 
 
 # ---------------------------------------------------------------- text analysis
@@ -156,70 +157,28 @@ def _exact_jaccard_tbl(batch: pa.Table, lt: list, rt: list, k: int,
     return t.filter(pc.greater_equal(t.column("jaccard"), threshold))
 
 
-@ray.remote
-def _assemble_doc_texts(*blocks) -> tuple[np.ndarray, np.ndarray]:
-    """(sorted doc_id array, aligned text object array) from doc blocks —
-    runs in a WORKER task; the driver only ever holds the object ref."""
-    blocks = [b if isinstance(b, pa.Table) else
-              pa.Table.from_pandas(b, preserve_index=False) for b in blocks]
-    blocks = [b for b in blocks if "doc_id" in b.column_names]
-    if not blocks:
-        return np.empty(0, np.int64), np.empty(0, object)
-    t = pa.concat_tables(blocks)
-    ids = t.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
-    texts = np.asarray(t.column("text").to_pylist(), dtype=object)
-    order = np.argsort(ids, kind="mergesort")
-    return ids[order], texts[order]
-
-
 def exact_jaccard_filter(cand: Dataset, docs: Dataset, k: int,
-                         threshold: float,
-                         broadcast_threshold: int = 2_000_000) -> Dataset:
+                         threshold: float) -> Dataset:
     """(left_doc, right_doc) candidates -> pairs with EXACT char-k-shingle
     Jaccard >= threshold (rounded 6dp, matching SQL ``ROUND``), the
     disposal kernel shared by the rare-shingle and MinHash-LSH candidate
-    generators.
-
-    Text attachment picks its shape by doc count: up to
-    ``broadcast_threshold`` docs, the (id -> text) table is assembled
-    worker-side from block refs and ``searchsorted``-probed inside one
-    map — ZERO shuffles (2 bucketed joins ~= 4 exchange stages saved);
-    above it, the schema-pinned bucketed ``hash_join`` chain takes over
-    (neither link pays a materialize-for-schema probe)."""
-    n_docs = docs.count()
-    if n_docs <= broadcast_threshold:
-        ref = _assemble_doc_texts.remote(
-            *docs.select_columns(["doc_id", "text"]).to_arrow_refs())
-
-        def exact_bcast(batch: pa.Table) -> pa.Table:
-            ids_s, texts = ray.get(ref)  # shared-memory read per task
-            li = batch.column("left_doc").to_numpy(zero_copy_only=False)
-            ri = batch.column("right_doc").to_numpy(zero_copy_only=False)
-            lt = texts[np.searchsorted(ids_s, li)].tolist()
-            rt = texts[np.searchsorted(ids_s, ri)].tolist()
-            return _exact_jaccard_tbl(batch, lt, rt, k, threshold)
-
-        return cand.map_batches(exact_bcast, batch_format="pyarrow")
-
-    from chameleon_entity_linking_ray.stages.joins import hash_join
-
-    pair_schema = pa.schema([("left_doc", pa.int64()),
-                             ("right_doc", pa.int64())])
-    docs_schema = pa.schema([("doc_id", pa.int64()), ("text", pa.string())])
-    j1_schema = pa.schema([("left_doc", pa.int64()), ("right_doc", pa.int64()),
-                           ("text", pa.string())])
-    j = hash_join(cand, docs, on=("left_doc",), right_on=("doc_id",),
-                  join_type="inner", schemas=(pair_schema, docs_schema))
-    j = hash_join(j, docs, on=("right_doc",), right_on=("doc_id",),
-                  join_type="inner", right_suffix="_r",
-                  schemas=(j1_schema, docs_schema))
+    generators. Both texts come from ``_attach_texts``."""
 
     def exact(batch: pa.Table) -> pa.Table:
         return _exact_jaccard_tbl(batch, batch.column("text").to_pylist(),
                                   batch.column("text_r").to_pylist(),
                                   k, threshold)
 
-    return j.map_batches(exact, batch_format="pyarrow")
+    return _attach_texts(cand, docs).map_batches(exact, batch_format="pyarrow")
+
+
+def _attach_texts(cand: Dataset, docs: Dataset) -> Dataset:
+    """(left_doc, right_doc, ...) + the two docs' ``text`` and ``text_r``:
+    two ``attach``es of the (doc_id, text) table — broadcast maps up to
+    ``joins.BROADCAST_ROWS`` docs, bucketed shuffles above."""
+    docs = docs.select_columns(["doc_id", "text"]).materialize()
+    return attach(attach(cand, docs, "left_doc", right_on="doc_id"),
+                  docs, "right_doc", right_on="doc_id")
 
 
 @ray.remote
@@ -242,7 +201,7 @@ def _assemble_matrix(*blocks) -> tuple[np.ndarray, np.ndarray]:
 def broadcast_embedding_matrix(emb: Dataset):
     """Object ref to (ids, normalized matrix), assembled from the dataset's
     Arrow block refs INSIDE a task — the embedding table never materializes
-    on the driver (the broadcast-small-side pattern of ``semi_join_ds``)."""
+    on the driver (the broadcast pattern of ``stages.joins.attach``)."""
     return _assemble_matrix.remote(
         *emb.select_columns(["vec_id", "embedding"]).to_arrow_refs())
 
@@ -410,8 +369,6 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.5, k: int = 8,
     scale alternative. Shingle semantics match SQL ``substring(text,i,k)``
     exactly (``flat_char_shingles``: char-based, no padding)."""
     from chameleon_entity_linking_ray.functions.hashing import flat_char_shingles
-    from chameleon_entity_linking_ray.stages.joins import semi_join_ds
-
     docs = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     # (doc_id, shingle-hash) rows, distinct per doc
@@ -429,7 +386,7 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.5, k: int = 8,
     # document frequency per shingle -> rare shingles only
     rare = grouped_agg(sh, keys=["h"], aggs={"df": (None, "count")}) \
         .filter(expr=f"df <= {df_cap}")
-    rare_sh = semi_join_ds(sh, rare, "h")
+    rare_sh = attach(sh, rare, "h", how="semi")
 
     # candidate pairs: all-pairs within each rare shingle's doc list
     cand = block_pairs(rare_sh, "doc_id", "h", window=0, max_block=df_cap + 1)
@@ -908,9 +865,9 @@ def fuzzy_dedup_assign(docs: Dataset, max_hamming: int = 3) -> Dataset:
     fast path under the documented threshold, alternating-star shuffle
     loop above it) and ``keep`` = is this the component's canonical doc.
     Singletons keep themselves. Assignment attach is
-    ``stages/cluster.attach_assignments`` — the threshold-or-join
-    pattern shared with ``pipelines/linkage.assign_clusters``:
-    broadcast below ``broadcast_threshold`` rows, bucketed hash join
+    ``stages/cluster.attach_assignments``, shared with
+    ``pipelines/linkage.assign_clusters``: a ``left`` ``attach``, so a
+    broadcast up to ``joins.BROADCAST_ROWS`` rows and a bucketed shuffle
     above (on a 100 TB corpus with a high dup rate the assignment table
     is proportional to the duplicated-doc count — it must never be
     forced whole onto the driver).
@@ -1764,14 +1721,9 @@ def clustering_eval(sf_dir: str, window: int = 6, cap: int = 4) -> Dataset:
     divisions, so the whole row hash-matches SQL.
     """
     from chameleon_entity_linking_ray.stages.agg import grouped_agg
-    from chameleon_entity_linking_ray.stages.joins import (
-        broadcast_hash_join,
-    )
-
     assigned = dedup_parts_snm(sf_dir, window=window, cap=cap)
     names = read_table(sf_dir, "part", ["p_partkey", "p_name"])
-    j = broadcast_hash_join(assigned, names, on=("p_partkey",),
-                            right_on=("p_partkey",), join_type="inner")
+    j = attach(assigned, names, "p_partkey")
     joint = grouped_agg(j, keys=["cluster_id", "p_name"],
                         aggs={"n": (None, "count")})
 
@@ -1865,8 +1817,7 @@ def blocking_stats(sf_dir: str, window: int = 6) -> Dataset:
 
 
 def tf_cosine_pairs(sf_dir: str, threshold: float = 0.6,
-                    df_cap: int | None = None, df_frac: float = 0.06,
-                    broadcast_threshold: int = 2_000_000
+                    df_cap: int | None = None, df_frac: float = 0.06
                     ) -> Dataset | pa.Table:
     """Integer-TF cosine similarity join over documents — the sparse
     bag-of-words twin of ``embedding_near_dups``: candidates from
@@ -1884,11 +1835,8 @@ def tf_cosine_pairs(sf_dir: str, threshold: float = 0.6,
     what made the sf0.1 bench time an empty pipeline in round 4. Pass
     ``df_cap`` to pin an absolute cap.
 
-    Disposal text attachment is threshold-or-join (the
-    ``exact_jaccard_filter`` pattern): up to ``broadcast_threshold`` docs
-    the (doc_id -> text) table is assembled worker-side from block refs
-    and probed in one map; beyond it the schema-pinned bucketed
-    ``hash_join`` chain attaches both texts with shuffles.
+    The disposal attaches both texts with ``_attach_texts`` (as
+    ``exact_jaccard_filter`` does).
 
     The result is materialized before returning — OUTPUT-bound (only
     pairs above ``threshold``), never the corpus — because the all-
@@ -1896,8 +1844,6 @@ def tf_cosine_pairs(sf_dir: str, threshold: float = 0.6,
     driver (Ray cannot keep a 0-row Dataset's schema through
     ``to_pandas``); callers accept ``Dataset | pa.Table``.
     """
-    from chameleon_entity_linking_ray.stages.joins import semi_join_ds
-
     docs = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     if df_cap is None:
@@ -1941,7 +1887,7 @@ def tf_cosine_pairs(sf_dir: str, threshold: float = 0.6,
     tk = docs.map_batches(tok_rows, batch_format="pyarrow").materialize()
     rare = grouped_agg(tk, keys=["tok"], aggs={"df": (None, "count")}) \
         .filter(expr=f"df <= {df_cap}").select_columns(["tok"])
-    rare_tk = semi_join_ds(tk, rare, "tok")
+    rare_tk = attach(tk, rare, "tok", how="semi")
 
     cand = _id_pairs(block_pairs(rare_tk, "doc_id", "tok", window=0,
                                  max_block=df_cap + 1), "doc")
@@ -1972,50 +1918,13 @@ def tf_cosine_pairs(sf_dir: str, threshold: float = 0.6,
             "cosine", pa.array(cos, pa.float64()))
         return t.filter(pc.greater_equal(t.column("cosine"), threshold))
 
-    n_all_docs = docs.count()
-    if n_all_docs <= broadcast_threshold:
-        ref = _assemble_doc_texts.remote(
-            *docs.select_columns(["doc_id", "text"]).to_arrow_refs())
+    def dispose(batch: pa.Table) -> pa.Table:
+        lt = np.asarray(batch.column("text").to_pylist(), object)
+        rt = np.asarray(batch.column("text_r").to_pylist(), object)
+        return _cosine_rows(batch, lt, rt)
 
-        def dispose(batch: pa.Table) -> pa.Table:
-            if batch.num_rows == 0:
-                return pa.table({"left_doc": pa.array([], pa.int64()),
-                                 "right_doc": pa.array([], pa.int64()),
-                                 "cosine": pa.array([], pa.float64())})
-            ids_s, texts = ray.get(ref)
-            li = batch.column("left_doc").to_numpy(zero_copy_only=False)
-            ri = batch.column("right_doc").to_numpy(zero_copy_only=False)
-            lt = texts[np.searchsorted(ids_s, li)]
-            rt = texts[np.searchsorted(ids_s, ri)]
-            return _cosine_rows(batch, lt, rt)
-
-        scored = cand.map_batches(dispose, batch_format="pyarrow")
-    else:
-        from chameleon_entity_linking_ray.stages.joins import hash_join
-
-        pair_schema = pa.schema([("left_doc", pa.int64()),
-                                 ("right_doc", pa.int64())])
-        docs_schema = pa.schema([("doc_id", pa.int64()),
-                                 ("text", pa.string())])
-        j1_schema = pa.schema([("left_doc", pa.int64()),
-                               ("right_doc", pa.int64()),
-                               ("text", pa.string())])
-        j = hash_join(cand, docs, on=("left_doc",), right_on=("doc_id",),
-                      join_type="inner", schemas=(pair_schema, docs_schema))
-        j = hash_join(j, docs, on=("right_doc",), right_on=("doc_id",),
-                      join_type="inner", right_suffix="_r",
-                      schemas=(j1_schema, docs_schema))
-
-        def dispose_joined(batch: pa.Table) -> pa.Table:
-            if batch.num_rows == 0:
-                return pa.table({"left_doc": pa.array([], pa.int64()),
-                                 "right_doc": pa.array([], pa.int64()),
-                                 "cosine": pa.array([], pa.float64())})
-            lt = np.asarray(batch.column("text").to_pylist(), object)
-            rt = np.asarray(batch.column("text_r").to_pylist(), object)
-            return _cosine_rows(batch, lt, rt)
-
-        scored = j.map_batches(dispose_joined, batch_format="pyarrow")
+    scored = _attach_texts(cand, docs).map_batches(dispose,
+                                                   batch_format="pyarrow")
 
     # when no pair clears the threshold every block is empty and the
     # Dataset API cannot keep the schema: Ray skips map_batches UDFs on
@@ -2151,16 +2060,11 @@ def golden_records(sf_dir: str, window: int = 6, cap: int = 4,
     on cluster_id; every rule is tie-deterministic, so the table is
     hash-exact vs SQL.
     """
-    from chameleon_entity_linking_ray.stages.joins import (
-        broadcast_hash_join,
-    )
-
     assigned = dedup_parts_snm(sf_dir, window=window, cap=cap) \
         .select_columns(["p_partkey", "cluster_id"])
     part = read_table(sf_dir, "part",
                       ["p_partkey", "p_name", "p_brand", "p_size"])
-    j = broadcast_hash_join(assigned, part, on=("p_partkey",),
-                            right_on=("p_partkey",), join_type="inner")
+    j = attach(assigned, part, "p_partkey")
 
     def cbucket(batch: pa.Table) -> pa.Table:
         c = batch.column("cluster_id").to_numpy(zero_copy_only=False) \

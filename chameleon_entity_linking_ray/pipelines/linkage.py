@@ -14,11 +14,12 @@ optional per-stage checkpoints:
          pairs gathered in bounded chunks             #   block, fused with the
       -> filter(score > theta) -> edges                #   edge filter
       -> connected_components(...)                     # SHUFFLE 4..k (or driver UF)
-      -> mentions x assignments broadcast assign       # map-only join back
+      -> attach(mentions, assignments, how="left")     # broadcast map: the
+         (stages.joins)                                #   table is vocab-sized
       -> per-partition sort(conv_id, turn_idx)         # output invariant:
          range-partitioned input (validated by a per-block bounds probe)
          => per-block sort + ordered materialize, NO shuffle; interleaved
-         input, or an assignment table past the broadcast threshold, takes
+         input, or an assignment table past joins.BROADCAST_ROWS, takes
          the global sort
 
     annotate_transcripts(transcripts, clustered)       # run-file output
@@ -232,21 +233,21 @@ def blocks_range_partitioned(ds: Dataset, keys: list[str] | None = None) -> bool
 
 
 def assign_clusters(mentions: Dataset, assignments: Dataset,
-                    config: LinkageConfig,
-                    broadcast_threshold: int = 4_000_000) -> Dataset:
+                    config: LinkageConfig) -> Dataset:
     """Left-join mentions (via node = hash(norm)) with CC assignments
     through ``stages.cluster.attach_assignments``; singleton surfaces
     cluster to their own node id. Output in stable
     (conv_id, turn_idx, span_start) order.
 
     The assignment table covers only surfaces that matched something —
-    vocabulary-scale — so up to ``broadcast_threshold`` rows the attach is
-    map-only and keeps the mention blocks in place: when
+    vocabulary-scale — so up to ``joins.BROADCAST_ROWS`` rows the attach
+    is a broadcast map and keeps the mention blocks in place: when
     ``blocks_range_partitioned`` validates the mention stream, a per-block
     sort gives the total order with no shuffle. Interleaved input, or an
-    assignment table past the threshold (the bucketed hash join destroys
+    assignment table past that constant (the bucketed shuffle destroys
     partition order), ends in the global ``Dataset.sort``. Both tails are
     ``_output_order``, shared with ``annotate_transcripts``."""
+    from chameleon_entity_linking_ray.stages import joins
     from chameleon_entity_linking_ray.stages.cluster import attach_assignments
     from chameleon_entity_linking_ray.stages.extract import restore_derived
 
@@ -255,12 +256,12 @@ def assign_clusters(mentions: Dataset, assignments: Dataset,
     assignments = assignments.materialize()
     with_node = mentions.map_batches(add_node_column(), batch_format="pyarrow")
     out = attach_assignments(with_node, assignments, "node",
-                             broadcast_threshold, config.num_hash_buckets) \
+                             config.num_hash_buckets) \
         .drop_columns(["keep"]) \
         .map_batches(restore_derived, batch_format="pyarrow")
     return _output_order(
         out, _OUT_KEYS,
-        in_range and assignments.count() <= broadcast_threshold)
+        in_range and assignments.count() <= joins.BROADCAST_ROWS)
 
 
 def _output_order(ds: Dataset, keys: list[str], in_range: bool) -> Dataset:

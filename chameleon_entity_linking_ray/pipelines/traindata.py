@@ -288,20 +288,18 @@ def doc_chunks(sf_dir: str, max_tokens: int = 32,
 
 
 def doc_keywords(sf_dir: str, k: int = 3,
-                 broadcast_threshold: int = 4_000_000,
                  num_partitions: int = 32) -> Dataset:
     """Per-document top-k TF-IDF keywords: tf from a combiner groupby on
     (doc, term), df from a second combiner groupby on the tf table (one
-    row per (doc, term) — already distinct), idf = ln(N/df) applied via
-    the threshold-or-join pattern (``stages/cluster.attach_assignments``):
-    up to ``broadcast_threshold`` distinct terms the df table is broadcast
-    ONCE via ``ray.put`` and probed with per-batch binary search (no
-    shuffle against the wide tf side); beyond that — a 100 TB web corpus
-    has a heavy-tailed, billions-row vocabulary that must never land on
-    the driver — the bucketed ``hash_join`` attaches df to tf with one
-    shuffle. Scores are rounded to 6 places BEFORE ranking so engine and
-    oracle rank identical values (raw float64 libm could differ in the
-    last ulp across engines)."""
+    row per (doc, term) — already distinct), idf = ln(N/df) applied after
+    an ``attach`` of the df table to tf (a broadcast up to
+    ``joins.BROADCAST_ROWS`` distinct terms; a 100 TB web corpus has a
+    heavy-tailed, billions-row vocabulary, which shuffles instead of ever
+    landing on the driver). Scores are rounded to 6 places BEFORE ranking
+    so engine and oracle rank identical values (raw float64 libm could
+    differ in the last ulp across engines)."""
+    from chameleon_entity_linking_ray.stages.joins import attach
+
     docs = read_table(sf_dir, "documents", ["doc_id", "text"])
     n_docs = docs.count()
 
@@ -324,51 +322,19 @@ def doc_keywords(sf_dir: str, k: int = 3,
 
     tf = grouped_agg(docs.map_batches(pairs, batch_format="pyarrow"),
                      ["doc_id", "term"], {"tf": (None, "count")}).materialize()
-    df_ds = grouped_agg(tf, ["term"], {"df": (None, "count")}).materialize()
-    n_terms = df_ds.count()
+    df_ds = grouped_agg(tf, ["term"], {"df": (None, "count")})
 
-    if n_terms <= broadcast_threshold:
-        df = df_ds.to_pandas()
-        dterms = df["term"].to_numpy(object)
-        order = np.argsort(dterms)
-        df_ref = ray.put((dterms[order], df["df"].to_numpy(np.int64)[order]))
+    def score(batch: pa.Table) -> pa.Table:
+        dfv = batch.column("df").to_numpy(zero_copy_only=False) \
+            .astype(np.float64)
+        tfv = batch.column("tf").to_numpy(zero_copy_only=False) \
+            .astype(np.float64)
+        score = np.round(tfv * np.log(n_docs / dfv), 6)
+        return batch.drop_columns(["df"]) \
+            .append_column("tfidf", pa.array(score, pa.float64()))
 
-        class Score:
-            def __init__(self):
-                self.terms, self.df = ray.get(df_ref)
-
-            def __call__(self, batch: pa.Table) -> pa.Table:
-                t = np.asarray(batch.column("term").to_pylist(), dtype=object)
-                pos = np.searchsorted(self.terms, t)
-                dfv = self.df[pos].astype(np.float64)
-                tfv = batch.column("tf").to_numpy(zero_copy_only=False) \
-                    .astype(np.float64)
-                score = np.round(tfv * np.log(n_docs / dfv), 6)
-                return batch.append_column("tfidf",
-                                           pa.array(score, pa.float64()))
-
-        scored = tf.map_batches(Score, batch_format="pyarrow",
-                                concurrency=(1, 4))
-    else:
-        from chameleon_entity_linking_ray.stages.joins import hash_join
-
-        _TF = pa.schema([("doc_id", pa.int64()), ("term", pa.string()),
-                         ("tf", pa.int64())])
-        _DF = pa.schema([("term", pa.string()), ("df", pa.int64())])
-        joined = hash_join(tf, df_ds, on=("term",),
-                           num_partitions=num_partitions,
-                           schemas=(_TF, _DF))
-
-        def score_joined(batch: pa.Table) -> pa.Table:
-            dfv = batch.column("df").to_numpy(zero_copy_only=False) \
-                .astype(np.float64)
-            tfv = batch.column("tf").to_numpy(zero_copy_only=False) \
-                .astype(np.float64)
-            score = np.round(tfv * np.log(n_docs / dfv), 6)
-            return batch.drop_columns(["df"]) \
-                .append_column("tfidf", pa.array(score, pa.float64()))
-
-        scored = joined.map_batches(score_joined, batch_format="pyarrow")
+    scored = attach(tf, df_ds, "term", num_partitions=num_partitions) \
+        .map_batches(score, batch_format="pyarrow")
     out = grouped_top_k(scored, group_keys=["doc_id"],
                         by=["tfidf", "term"], ascending=[False, True],
                         k=k, rank_col="rnk")

@@ -1,9 +1,9 @@
 """Partial (combiner-style) grouped aggregation.
 
 The scalable grouped-aggregate pattern for wide data: aggregate INSIDE each
-``map_batches`` task first (pandas vectorized), so the shuffle moves one row
-per (group, block) instead of one per input row, then combine per hash
-bucket. This is the engine-wide replacement for the reference's driver-side
+``map_batches`` task first (one Arrow ``group_by``), so the shuffle moves
+one row per (group, block) instead of one per input row, then combine per
+hash bucket. This is the engine-wide replacement for the reference's driver-side
 counter dicts (e.g. /root/reference/CrossEncoder/train.py:77,109-112) and
 grouped collects (/root/reference/BiEncoder/test.py:70-79).
 
@@ -13,13 +13,15 @@ and shuffling (n_groups x n_blocks) partials.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 from ray.data import Dataset
 
-from chameleon_entity_linking_ray.stages.shuffle import bucket_of
+from chameleon_entity_linking_ray.stages.shuffle import bucket_of, bucketed
 
 # out_col -> (src_col, kind); kind in {"sum", "count", "min", "max"}
 AggSpec = dict[str, tuple[str | None, str]]
@@ -33,49 +35,49 @@ def _bucket_of(df: pd.DataFrame, keys: list[str], num_buckets: int) -> np.ndarra
 
 def grouped_agg(ds: Dataset, keys: list[str], aggs: AggSpec,
                 num_buckets: int = 32) -> Dataset:
-    """ds -> one row per distinct key tuple with the named aggregates.
+    """ds -> one row per distinct non-null key tuple with the named
+    aggregates (``count`` counts rows).
 
-    Stage 1 (map_batches): vectorized pandas groupby per input block — the
-    partial/combiner step. Stage 2: shuffle partials by key-hash bucket,
-    combine per bucket (sum-of-sums, min-of-mins, ...).
+    Stage 1 (map_batches): one Arrow ``group_by`` per input block — the
+    partial/combiner step. Stage 2: ``bucketed`` shuffles the partials by
+    key hash and combines them per bucket with a second ``group_by``
+    (sum-of-sums, min-of-mins, ...).
     """
-    plan = [(out, src, kind) for out, (src, kind) in aggs.items()]
+    outs = list(aggs)
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(keys, sort=False)
-        cols = {}
-        for out, src, kind in plan:
-            if kind == "count":
-                cols[out] = g.size()
-            else:
-                cols[out] = g[src].agg(kind)
-        part = pd.DataFrame(cols).reset_index()
-        part["__abucket"] = _bucket_of(part, keys, num_buckets)
-        return part
+    def partial(batch: pa.Table) -> pa.Table:
+        valid = [pc.invert(pc.is_null(batch.column(k), nan_is_null=True))
+                 for k in keys]
+        batch = batch.filter(functools.reduce(pc.and_, valid))
+        return _group_by(batch, keys, [([], "count_all") if kind == "count"
+                                       else (src, kind)
+                                       for src, kind in aggs.values()], outs)
 
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
-        gb = g.groupby(keys, sort=False)
-        cols = {out: gb[out].agg(_COMBINE[kind]) for out, _, kind in plan}
-        return pd.DataFrame(cols).reset_index()
+    def combine(t: pa.Table) -> pa.Table:
+        return _group_by(t, keys, [(out, _COMBINE[kind]) for out, (_, kind)
+                                   in aggs.items()], outs)
 
-    return ds.map_batches(partial, batch_format="pandas") \
-        .groupby("__abucket").map_groups(combine, batch_format="pandas")
+    return bucketed(ds.map_batches(partial, batch_format="pyarrow"), keys,
+                    combine, num_buckets)
 
 
 def distinct(ds: Dataset, keys: list[str], num_buckets: int = 32) -> Dataset:
-    """Distinct key tuples — per-block drop_duplicates (the combiner) then a
-    bucketed exact dedup; never a full-row global sort."""
+    """Distinct key tuples — a per-block Arrow ``group_by`` (the combiner)
+    then a bucketed exact dedup; never a full-row global sort."""
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        part = df[keys].drop_duplicates()
-        part["__abucket"] = _bucket_of(part, keys, num_buckets)
-        return part
+    def dedup(batch: pa.Table) -> pa.Table:
+        return _group_by(batch, keys, [], [])
 
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
-        return g[keys].drop_duplicates()
+    return bucketed(ds.map_batches(dedup, batch_format="pyarrow"), keys,
+                    dedup, num_buckets)
 
-    return ds.map_batches(partial, batch_format="pandas") \
-        .groupby("__abucket").map_groups(combine, batch_format="pandas")
+
+def _group_by(t: pa.Table, keys: list[str], aggs: list, outs: list[str]
+              ) -> pa.Table:
+    """One single-threaded Arrow ``group_by`` (groups in first-seen order):
+    the key columns, then ``aggs`` named ``outs``."""
+    return t.group_by(keys, use_threads=False).aggregate(aggs) \
+        .rename_columns(keys + outs)
 
 
 def embedding_matrix(col: pa.Array | pa.ChunkedArray) -> np.ndarray:
@@ -153,7 +155,7 @@ def mean_pool_vectors(ds: Dataset, group_col: str, vec_col: str,
     if all_groups is None:
         return pooled
 
-    from chameleon_entity_linking_ray.stages.joins import semi_join_ds
+    from chameleon_entity_linking_ray.stages.joins import attach
     pooled = pooled.materialize()  # consumed by the anti-join AND the union
     if dim is None:
         if pooled.count() == 0:
@@ -161,8 +163,8 @@ def mean_pool_vectors(ds: Dataset, group_col: str, vec_col: str,
                              "pass dim= explicitly")
         dim = int(pooled.max("pos")) + 1
 
-    missing = semi_join_ds(all_groups.select_columns([group_col]), pooled,
-                           group_col, anti=True)
+    missing = attach(all_groups.select_columns([group_col]), pooled,
+                     group_col, how="anti")
 
     def zero_rows(batch: pa.Table) -> pa.Table:
         g = batch.column(group_col).to_numpy(zero_copy_only=False)

@@ -286,62 +286,18 @@ def connected_components(edges: Dataset, num_partitions: int = 32,
 
 
 def attach_assignments(ds: Dataset, assignments: Dataset, id_col: str,
-                       broadcast_threshold: int = 4_000_000,
                        num_partitions: int = 32) -> Dataset:
     """Attach CC cluster assignments to a row stream: ds + ``cluster_id``
     (component min-id; own id for singletons) + ``keep`` (is this row the
     component's canonical record).
 
-    The threshold-or-join pattern shared with
-    ``pipelines/linkage.assign_clusters``: up to ``broadcast_threshold``
-    assignment rows the (node, cluster) map is broadcast ONCE via
-    ``ray.put`` and probed with a per-batch sorted-array binary search —
-    zero shuffle on the big side; beyond that (a 100 TB corpus with a
-    high dup rate makes the assignment table proportional to the
-    duplicated-row count, far past driver RAM) the bucketed
-    ``hash_join`` takes over and the big side shuffles once.
+    A ``left`` ``stages.joins.attach`` of the (node, cluster) table, so
+    it is a map over ``ds`` while the table fits a broadcast and a
+    bucketed shuffle of both sides above that (a 100 TB corpus with a high
+    dup rate makes the assignment table proportional to the duplicated-row
+    count); rows without an assignment keep their own id.
     """
-    import ray
-
-    from chameleon_entity_linking_ray.stages.joins import hash_join
-
-    n_assign = assignments.count()
-
-    if n_assign == 0:
-        def own_cluster(batch: pa.Table) -> pa.Table:
-            ids = pc.cast(batch.column(id_col), pa.int64())
-            out = batch.append_column("cluster_id", ids)
-            return out.append_column(
-                "keep", pa.array(np.ones(batch.num_rows, bool)))
-
-        return ds.map_batches(own_cluster, batch_format="pyarrow")
-
-    if n_assign <= broadcast_threshold:
-        adf = assignments.to_pandas()
-        nodes = adf["node"].to_numpy(np.int64)
-        order_ix = np.argsort(nodes, kind="mergesort")
-        ref = ray.put((nodes[order_ix],
-                       adf["cluster"].to_numpy(np.int64)[order_ix]))
-
-        def attach(batch: pa.Table) -> pa.Table:
-            snodes, sclusters = ray.get(ref)
-            ids = pc.cast(batch.column(id_col), pa.int64()) \
-                .to_numpy(zero_copy_only=False)
-            pos = np.searchsorted(snodes, ids)
-            pos = np.minimum(pos, max(len(snodes) - 1, 0))
-            hit = (snodes[pos] == ids) if len(snodes) \
-                else np.zeros(len(ids), bool)
-            cluster = np.where(hit, sclusters[pos], ids)
-            out = batch.append_column(
-                "cluster_id", pa.array(cluster.astype(np.int64)))
-            return out.append_column("keep",
-                                     pa.array(cluster == ids, pa.bool_()))
-
-        return ds.map_batches(attach, batch_format="pyarrow")
-
-    joined = hash_join(ds, assignments, on=(id_col,), right_on=("node",),
-                       join_type="left_outer",
-                       num_partitions=num_partitions)
+    from chameleon_entity_linking_ray.stages.joins import attach
 
     def finalize(batch: pa.Table) -> pa.Table:
         ids = pc.cast(batch.column(id_col), pa.int64())
@@ -351,4 +307,6 @@ def attach_assignments(ds: Dataset, assignments: Dataset, id_col: str,
             .append_column("cluster_id", cluster)
         return out.append_column("keep", pc.equal(cluster, ids))
 
-    return joined.map_batches(finalize, batch_format="pyarrow")
+    return attach(ds, assignments, id_col, right_on="node", how="left",
+                  num_partitions=num_partitions) \
+        .map_batches(finalize, batch_format="pyarrow")

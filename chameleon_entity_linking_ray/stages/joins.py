@@ -1,22 +1,28 @@
-"""Distributed join / semi-join helpers.
+"""Keyed joins: ``attach`` for every one-key lookup, ``hash_join`` for
+outer and multi-key joins.
 
-The reference does every join as a driver-side dict lookup (SURVEY.md §2.4);
-here the large-large case is a self-built hash-bucketed shuffle join and the
-small-side case is an object-store broadcast (``ray.put`` once, read inside
-each task) — never re-shipped per batch, never a shuffle.
+The reference does every join as a driver-side dict lookup (SURVEY.md
+§2.4). ``attach`` is that lookup as one primitive: ``ds`` rows against a
+keyed ``table`` (inner, left, semi or anti). It counts the table once; up
+to ``BROADCAST_ROWS`` rows the table is sorted by key in a worker task and
+broadcast (the driver holds only object refs, never the rows), above it
+both sides shuffle on the key with ``stages.shuffle.bucketed``. Both paths
+run the same probe kernel (``_probe``) — per batch, or per bucket where
+all rows of a key meet — so they share one semantics: a null key never
+matches, a duplicated table key under ``inner``/``left`` raises, clashing
+value columns get ``_r`` and the table's key column is dropped.
 
 Why not ``Dataset.join``: Ray 2.49's hash-shuffle join spawns one aggregator
 actor per partition up front; with ``num_partitions`` > cluster CPUs the
 actor pool can never be fully placed and the query deadlocks (observed at
 num_cpus=4 / 32 partitions), and fully-empty sides lose their schema and
-crash the join. ``hash_join`` runs on ``stages.shuffle.bucketed``, the same
-sort-shuffle every other keyed stage uses (no actor pool), scales with
-``num_partitions`` as plain tasks, and pins its output schema explicitly.
+crash the join. ``hash_join`` and ``attach`` run on
+``stages.shuffle.bucketed``, the same sort-shuffle every other keyed stage
+uses (no actor pool), scale with ``num_partitions`` as plain tasks, and pin
+their output schema explicitly.
 """
 
 from __future__ import annotations
-
-from typing import Iterable
 
 import numpy as np
 import pandas as pd
@@ -24,31 +30,36 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 from ray.data import Dataset
+from ray.data.block import BlockAccessor
 
 from chameleon_entity_linking_ray.stages.shuffle import bucketed
 
+# the most table rows ``attach`` broadcasts; above it both sides shuffle
+BROADCAST_ROWS = 4_000_000
+
 _HOW = {"inner": "inner", "left_outer": "left", "right_outer": "right",
         "full_outer": "outer"}
+_ATTACH_HOWS = ("inner", "left", "semi", "anti")
+_SUFFIX = "_r"
 
 
 def hash_join(left: Dataset, right: Dataset, on: tuple[str, ...],
               join_type: str = "inner", num_partitions: int = 32,
               right_on: tuple[str, ...] | None = None,
-              left_suffix: str = "", right_suffix: str = "_r",
               schemas: tuple[pa.Schema, pa.Schema] | None = None) -> Dataset:
-    """Hash-bucketed distributed equi-join (both sides large).
+    """Hash-bucketed distributed equi-join for outer and multi-key joins
+    (a one-key inner/left/semi/anti lookup is ``attach``).
 
     Both sides are tagged with their side and unioned under one
-    harmonized Arrow schema (absent columns = typed nulls, right keys under
-    the left key names), shuffled once by ``bucketed`` on the key columns
-    into ``num_partitions`` buckets, and merged per bucket with a
-    vectorized ``pd.merge``. Output schema is pinned so empty buckets /
-    all-null fill columns can never change dtypes between runs.
+    harmonized Arrow schema (``_tagged_union``), shuffled once by
+    ``bucketed`` on the key columns into ``num_partitions`` buckets, and
+    merged per bucket with a vectorized ``pd.merge``. Output schema is
+    pinned so empty buckets / all-null fill columns can never change
+    dtypes between runs.
 
     ``schemas=(left_schema, right_schema)``: caller-supplied Arrow schemas
     skip the materialize-before-schema-probe below — join CHAINS pay the
-    probe/materialize once per link otherwise (measured on the exact-
-    Jaccard pipelines, which join candidate pairs to texts twice).
+    probe/materialize once per link otherwise.
     """
     on = tuple(on)
     right_on = tuple(right_on) if right_on else on
@@ -60,45 +71,10 @@ def hash_join(left: Dataset, right: Dataset, on: tuple[str, ...],
         # anyway; materializing here costs nothing extra and makes the
         # schema probes free.
         left, right = left.materialize(), right.materialize()
-        lschema, rschema = left.schema(), right.schema()
-    else:
-        lschema, rschema = schemas
-    lnames = list(lschema.names)
-
-    # right value columns (join keys excluded), renamed on collision
-    rmap: dict[str, str] = {}  # right col -> output col
-    for name in rschema.names:
-        if name in right_on:
-            continue
-        out = name + right_suffix if (name in lnames or
-                                      name + right_suffix in lnames) else name
-        rmap[name] = out
-
-    lfields = list(zip(lschema.names, lschema.types))
-    rfields = [(rmap[n], t) for n, t in zip(rschema.names, rschema.types)
-               if n in rmap]
-    out_schema = pa.schema(lfields + rfields)
-    union_schema = pa.schema(lfields + rfields + [("__side", pa.int8())])
-    # output column -> source column per side; the right keys go under the
-    # LEFT key names, so the per-bucket merge is a plain `on=on`
-    sources = ({n: n for n in lnames},
-               {**dict(zip(on, right_on)), **{v: k for k, v in rmap.items()}})
-
-    def tag(side: int):
-        src = sources[side]
-
-        def fn(batch: pa.Table) -> pa.Table:
-            n = batch.num_rows
-            cols = [batch.column(src[f.name]).cast(f.type)
-                    if src.get(f.name) in batch.column_names
-                    else pa.nulls(n, f.type) for f in out_schema]
-            cols.append(pa.array(np.full(n, side, np.int8())))
-            return pa.Table.from_arrays(cols, schema=union_schema)
-        return fn
-
-    tagged = left.map_batches(tag(0), batch_format="pyarrow").union(
-        right.map_batches(tag(1), batch_format="pyarrow"))
-
+        schemas = left.schema(), right.schema()
+    tagged, out_schema = _tagged_union(left, right, on, right_on, *schemas)
+    lnames = list(schemas[0].names)
+    rnames = list(on) + out_schema.names[len(lnames):]
     how = _HOW[join_type]
 
     def merge(t: pa.Table) -> pa.Table:
@@ -112,7 +88,7 @@ def hash_join(left: Dataset, right: Dataset, on: tuple[str, ...],
             if pa.types.is_integer(col.type) and col.null_count:
                 g[name] = col.to_pandas(types_mapper=pd.ArrowDtype)
         lpart = g.loc[g["__side"] == 0, lnames]
-        rpart = g.loc[g["__side"] == 1, list(on) + list(rmap.values())]
+        rpart = g.loc[g["__side"] == 1, rnames]
         out = lpart.merge(rpart, how=how, on=list(on))
         return pa.Table.from_pandas(out[out_schema.names], schema=out_schema,
                                     preserve_index=False) \
@@ -121,153 +97,154 @@ def hash_join(left: Dataset, right: Dataset, on: tuple[str, ...],
     return bucketed(tagged, on, merge, num_partitions)
 
 
-def broadcast_semi_join(ds: Dataset, keys: Iterable, key_col: str,
-                        anti: bool = False) -> Dataset:
-    """Semi/anti join against a small key set: the set is ``ray.put`` once
-    as an Arrow array; every task reads the same object-store copy (no
-    shuffle, no re-ship) and filters with the vectorized ``pc.is_in`` kernel.
+def _right_names(names, left_names) -> list[str]:
+    """Output names of the right side's value columns: ``_r`` added where
+    a name (or the name plus ``_r``) is already a left column."""
+    return [n + _SUFFIX if n in left_names or n + _SUFFIX in left_names
+            else n for n in names]
 
-    Engine form of the reference's prune filter
-    (/root/reference/utils/prune_retrieved.py:19-26) and its merge anti-join
-    (/root/reference/utils/merge_results.py:14-20).
+
+def _tagged_union(left: Dataset, right: Dataset, on, right_on, lschema,
+                  rschema) -> tuple[Dataset, pa.Schema]:
+    """Both sides under one harmonized Arrow schema: the left columns, the
+    right value columns (renamed by ``_right_names``, absent = typed
+    nulls) and an int8 ``__side``; the right keys sit under the LEFT key
+    names. Returns the union and its schema without ``__side``."""
+    lnames = list(lschema.names)
+    rvals = [(n, t) for n, t in zip(rschema.names, rschema.types)
+             if n not in right_on]
+    rfields = list(zip(_right_names([n for n, _ in rvals], lnames),
+                       [t for _, t in rvals]))
+    out_schema = pa.schema(list(zip(lnames, lschema.types)) + rfields)
+    union_schema = out_schema.append(pa.field("__side", pa.int8()))
+    # output column -> source column per side
+    sources = ({n: n for n in lnames},
+               {**dict(zip(on, right_on)),
+                **{out: n for (n, _), (out, _) in zip(rvals, rfields)}})
+
+    def tag(side: int):
+        src = sources[side]
+
+        def fn(batch: pa.Table) -> pa.Table:
+            n = batch.num_rows
+            cols = [batch.column(src[f.name]).cast(f.type)
+                    if src.get(f.name) in batch.column_names
+                    else pa.nulls(n, f.type) for f in out_schema]
+            cols.append(pa.array(np.full(n, side, np.int8())))
+            return pa.Table.from_arrays(cols, schema=union_schema)
+        return fn
+
+    return left.map_batches(tag(0), batch_format="pyarrow").union(
+        right.map_batches(tag(1), batch_format="pyarrow")), out_schema
+
+
+def attach(ds: Dataset, table: Dataset, on: str, right_on: str | None = None,
+           how: str = "inner", num_partitions: int = 32) -> Dataset:
+    """``ds`` rows looked up by their ``on`` key in ``table`` (keyed by
+    ``right_on``, default ``on``):
+
+    - ``inner``: matched rows plus the table's value columns;
+    - ``left``: every row, value columns null where unmatched;
+    - ``semi`` / ``anti``: the rows with / without a match, unchanged.
+
+    A null key never matches. Under ``inner``/``left`` a key repeated in
+    ``table`` raises ``ValueError`` naming it. Value columns that clash
+    with ``ds`` columns get ``_r``; the table's key column is dropped.
+
+    ``table`` is materialized and counted once. Up to ``BROADCAST_ROWS``
+    rows it is sorted by key in a worker task and broadcast once, and
+    every ``ds`` batch is probed in place (a map: ``ds`` keeps its
+    blocks). Above that, both sides are shuffled on the key into
+    ``num_partitions`` buckets and each bucket is probed.
     """
-    keys = keys if isinstance(keys, pa.Array) else pa.array(list(dict.fromkeys(keys)))
-    ref = ray.put(keys)
+    if how not in _ATTACH_HOWS:
+        raise ValueError(f"attach: how must be one of {_ATTACH_HOWS}, "
+                         f"got {how!r}")
+    right_on = right_on or on
+    if how in ("semi", "anti"):
+        table = table.select_columns([right_on])
+    table = table.materialize()
+    if table.count() <= BROADCAST_ROWS:
+        ref, dup_ref = _key_sorted.remote(right_on, *table.to_arrow_refs())
+        _check_unique(ray.get(dup_ref), right_on, how)
 
-    def semi_filter(batch: pa.Table) -> pa.Table:
-        value_set = ray.get(ref)  # object-store handle, fetched per task
-        col = batch.column(key_col)
-        if value_set.type != col.type:
-            value_set = value_set.cast(col.type)
-        mask = pc.is_in(col, value_set=value_set)
-        if anti:
-            mask = pc.invert(mask)
-        return batch.filter(pc.fill_null(mask, False))
+        def probe(batch: pa.Table) -> pa.Table:
+            keys, values = ray.get(ref)
+            return _probe(batch, on, keys, values, how)
 
-    # plain tasks: parallelism follows block count, no actor-pool ramp
-    return ds.map_batches(semi_filter, batch_format="pyarrow")
+        return ds.map_batches(probe, batch_format="pyarrow")
 
+    ds = ds.materialize()
+    lschema = ds.schema()
+    if lschema is None:  # an empty ds: nothing to look up
+        return ds
+    tagged, out_schema = _tagged_union(ds, table, (on,), (right_on,),
+                                       lschema, table.schema())
+    lnames = list(lschema.names)
+    rnames = [on] + out_schema.names[len(lnames):]
 
-def semi_join_ds(ds: Dataset, keys_ds: Dataset, key_col: str,
-                 keys_col: str | None = None, anti: bool = False) -> Dataset:
-    """Semi/anti join where the key side is itself a Dataset: key blocks are
-    concatenated into ONE Arrow array (zero-copy ``ray.get`` of block refs —
-    no Python-object round trip through the driver) and broadcast once."""
-    keys_col = keys_col or key_col
-    blocks = [ray.get(r) for r in keys_ds.select_columns([keys_col]).to_arrow_refs()]
-    # pandas-format blocks come back as DataFrames — normalize to Arrow;
-    # groupby outputs can include schema-less EMPTY blocks — drop them
-    blocks = [pa.Table.from_pandas(b, preserve_index=False)
-              if not isinstance(b, pa.Table) else b for b in blocks]
-    # per-block projection: select_columns can leave stray columns on
-    # blocks of mixed (pandas/arrow, empty/non-empty) lineages
-    blocks = [b.select([keys_col]) for b in blocks
-              if keys_col in b.column_names]
-    if blocks:
-        keys = pa.concat_tables(blocks).column(keys_col).combine_chunks()
-        keys = keys.unique() if isinstance(keys, pa.Array) else \
-            pa.concat_arrays(keys.chunks).unique()
-    else:
-        keys = pa.array([], pa.int64())
-    return broadcast_semi_join(ds, keys, key_col, anti=anti)
+    def probe_bucket(t: pa.Table) -> pa.Table:
+        side = t.column("__side")
+        right = t.filter(pc.equal(side, 1)).select(rnames)
+        (keys, values), dup = _sort_by_key(right, on)
+        _check_unique(dup, right_on, how)
+        return _probe(t.filter(pc.equal(side, 0)).select(lnames), on, keys,
+                      values, how)
+
+    return bucketed(tagged, [on], probe_bucket, num_partitions)
 
 
-def broadcast_hash_join(large: Dataset, small: Dataset, on: tuple[str, ...],
-                        join_type: str = "inner",
-                        right_on: tuple[str, ...] | None = None,
-                        right_suffix: str = "_r") -> Dataset:
-    """Map-side join against a SMALL dimension table: the small side is
-    collected once, ``ray.put`` once, and every task merges its batch against
-    the shared copy — no shuffle of the large side at all. The textbook
-    broadcast-join case (dimension tables, lookup tables); use ``hash_join``
-    when both sides are large."""
-    if join_type not in ("inner", "left_outer"):
-        # right_outer / full_outer are NOT sound map-side: an unmatched
-        # small-side row would be emitted once per large-side batch.
-        raise ValueError(
-            f"broadcast_hash_join supports inner/left_outer, got {join_type!r};"
-            " use hash_join for right/full outer")
-    on = tuple(on)
-    right_on = tuple(right_on) if right_on else on
-    sdf = small.to_pandas()
-    sdf = sdf.rename(columns=dict(zip(right_on, on)))
-    ref = ray.put(sdf)
-    how = _HOW[join_type]
-
-    def merge(batch: pa.Table) -> pa.Table:
-        right = ray.get(ref)
-        left_df = batch.to_pandas()
-        clash = [c for c in right.columns
-                 if c not in on and c in left_df.columns]
-        r = right.rename(columns={c: c + right_suffix for c in clash})
-        return pa.Table.from_pandas(left_df.merge(r, how=how, on=list(on)),
-                                    preserve_index=False)
-
-    return large.map_batches(merge, batch_format="pyarrow")
+def _sort_by_key(t: pa.Table, key: str) -> tuple[tuple, object]:
+    """((sorted non-null keys as numpy, the value columns in that order),
+    a key that occurs more than once or None)."""
+    t = t.filter(pc.is_valid(t.column(key))).sort_by(key)
+    keys = t.column(key).to_numpy(zero_copy_only=False)
+    dup = np.flatnonzero(keys[1:] == keys[:-1])
+    return ((keys, t.drop_columns([key])),
+            t.column(key)[int(dup[0])].as_py() if len(dup) else None)
 
 
-_BLOOM_SEEDS = (131, 137, 139, 149)
+@ray.remote(num_returns=2)
+def _key_sorted(key: str, *blocks) -> tuple[tuple, object]:
+    """``_sort_by_key`` over a table's blocks, run in a worker: the driver
+    only ever holds the refs. Blocks without the key column (empty shuffle
+    partitions) are skipped."""
+    tables = [BlockAccessor.for_block(b).to_arrow() for b in blocks]
+    tables = [t for t in tables if key in t.column_names]
+    t = pa.concat_tables(tables, promote_options="permissive") if tables \
+        else pa.table({key: pa.array([], pa.null())})
+    return _sort_by_key(t, key)
 
 
-def _bloom_positions(keys: np.ndarray, m_bits: int) -> list[np.ndarray]:
-    """k hash positions per key (mix64 with fixed seeds) — deterministic,
-    so build and probe agree across processes."""
-    from chameleon_entity_linking_ray.functions.hashing import mix64
-    u = keys.astype(np.uint64)
-    return [(mix64(u, seed=s) % np.uint64(m_bits)).astype(np.int64)
-            for s in _BLOOM_SEEDS]
+def _check_unique(dup, key: str, how: str) -> None:
+    if dup is not None and how in ("inner", "left"):
+        raise ValueError(f"attach: key {key}={dup!r} occurs more than once "
+                         f"in the table; an {how} attach needs unique keys")
 
 
-@ray.remote
-def _bloom_build(m_bits: int, *blocks) -> np.ndarray:
-    """OR-merge per-block key sets into one bitmap (uint64 words) — the
-    combiner-form Bloom build; the driver only ever holds the ref."""
-    words = np.zeros((m_bits + 63) // 64, np.uint64)
-    for b in blocks:
-        t = (b if isinstance(b, pa.Table)
-             else pa.Table.from_pandas(b, preserve_index=False))
-        if t.num_rows == 0 or "key" not in t.column_names:
-            continue
-        k = t.column("key").to_numpy(zero_copy_only=False)
-        for pos in _bloom_positions(k, m_bits):
-            np.bitwise_or.at(words, pos // 64,
-                             np.uint64(1) << (pos % 64).astype(np.uint64))
-    return words
-
-
-def bloom_semi_join(large: Dataset, keys_ds: Dataset, key_col: str,
-                    keys_col: str | None = None,
-                    m_bits: int = 1 << 20) -> Dataset:
-    """Semi-join with a BLOOM PREFILTER: the key side folds into an
-    ``m_bits`` bitmap in a worker task (combiner OR-merge — constant-size
-    state per block, unlike a broadcast key SET which grows with the key
-    count), every large-side batch probes the broadcast bitmap
-    map-side, and the surviving superset (false positives only) takes
-    the EXACT semi-join. Same answer as a plain semi-join — the Bloom
-    pass only changes how many rows reach the exact stage, which is the
-    point at 100 TB: the bitmap stays a few MB however many keys exist,
-    and the exact pass sees survivors, not the table.
-    """
-    keys_col = keys_col or key_col
-
-    def as_key(batch: pa.Table) -> pa.Table:
-        return pa.table({"key": batch.column(keys_col).cast(pa.int64())})
-
-    keyed = keys_ds.map_batches(as_key, batch_format="pyarrow")
-    bloom_ref = _bloom_build.remote(m_bits, *keyed.to_arrow_refs())
-
-    def probe(batch: pa.Table) -> pa.Table:
-        words = ray.get(bloom_ref)  # zero-copy shared-memory read
-        k = batch.column(key_col).cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        hit = np.ones(len(k), bool)
-        for pos in _bloom_positions(k, m_bits):
-            bits = (words[pos // 64] >> (pos % 64).astype(np.uint64)) \
-                & np.uint64(1)
-            hit &= bits.astype(bool)
-        return batch.filter(pa.array(hit))
-
-    survivors = large.map_batches(probe, batch_format="pyarrow")
-    # exact cleanup: false positives out (broadcast set here; swap for a
-    # bucketed hash semi-join when the key set outgrows a broadcast)
-    return semi_join_ds(survivors, keyed, key_col, keys_col="key")
+def _probe(left: pa.Table, on: str, keys: np.ndarray, values: pa.Table,
+           how: str) -> pa.Table:
+    """The one lookup kernel of ``attach``: each ``left`` row's ``on`` key
+    binary-searched in the sorted ``keys``; ``semi``/``anti`` filter the
+    rows, ``inner``/``left`` add the matched ``values`` rows (null where
+    none)."""
+    col = left.column(on)
+    row = np.full(left.num_rows, -1, np.int64)
+    valid = np.flatnonzero(pc.is_valid(col).to_numpy(zero_copy_only=False))
+    if len(keys) and len(valid):
+        probe = col.drop_null().to_numpy(zero_copy_only=False)
+        pos = np.minimum(np.searchsorted(keys, probe), len(keys) - 1)
+        hit = keys[pos] == probe
+        row[valid[hit]] = pos[hit]
+    found = row >= 0
+    if how == "semi":
+        return left.filter(pa.array(found))
+    if how == "anti":
+        return left.filter(pa.array(~found))
+    if how == "inner":
+        left, row = left.filter(pa.array(found)), row[found]
+    gathered = values.take(pa.array(row, mask=row < 0))
+    for name, c in zip(_right_names(values.column_names, left.column_names),
+                       gathered.columns):
+        left = left.append_column(name, c)
+    return left

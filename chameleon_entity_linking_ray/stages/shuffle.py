@@ -2,10 +2,12 @@
 
 Grouping by a raw key would pay one Python call per distinct key. The
 vocabulary merge, both blocked-pair stages, the connected-components star
-steps and ``hash_join`` instead shuffle rows by ``key_hash % num_buckets``:
+steps, ``agg.grouped_agg``/``distinct`` and the shuffle paths of
+``hash_join``/``attach`` instead shuffle rows by ``key_hash % num_buckets``:
 all rows of a key meet in one bucket, and the callback runs once per
 bucket on an Arrow table, vectorized over the keys inside it.
-``stages.agg`` buckets its pandas partials with the same ``bucket_of``.
+``agg.grouped_top_k`` buckets its pandas partials with the same
+``bucket_of``.
 """
 
 from __future__ import annotations
@@ -15,11 +17,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 from ray.data import Dataset
 
 from chameleon_entity_linking_ray.functions.hashing import hash64, mix64
 
 _BUCKET = "__bucket"
+_NULL_FLAG = np.uint64(0x9E3779B97F4A7C15)
 
 
 def key_hash(columns: Sequence) -> np.ndarray:
@@ -40,11 +44,20 @@ def bucket_of(columns: Sequence, num_buckets: int) -> np.ndarray:
 
 
 def arrow_key_values(table: pa.Table, keys: Sequence[str]) -> list:
-    """``key_hash`` input for Arrow key columns: integers as numpy,
-    other types as Python values."""
-    return [col.to_numpy(zero_copy_only=False).astype(np.uint64)
-            if pa.types.is_integer(col.type) else col.to_pylist()
-            for col in map(table.column, keys)]
+    """``key_hash`` input for Arrow key columns: integers as exact uint64
+    numpy (nulls filled, then flagged), other types as Python values."""
+    return [_exact_ints(col) if pa.types.is_integer(col.type)
+            else col.to_pylist() for col in map(table.column, keys)]
+
+
+def _exact_ints(col: pa.ChunkedArray) -> np.ndarray:
+    """An integer column as uint64 without a float64 detour: a null
+    reads as 0 with ``_NULL_FLAG`` mixed in, every other value as itself."""
+    vals = pc.fill_null(col, 0).to_numpy(zero_copy_only=False) \
+        .astype(np.uint64)
+    if col.null_count:
+        vals[pc.is_null(col).to_numpy(zero_copy_only=False)] ^= _NULL_FLAG
+    return vals
 
 
 def bucketed(ds: Dataset, keys: Sequence[str],

@@ -5,6 +5,7 @@ import pandas as pd
 import pytest
 import ray.data as rd
 
+from chameleon_entity_linking_ray.stages import joins
 from chameleon_entity_linking_ray.stages.graph import (
     bfs_expand,
     personalized_pagerank,
@@ -119,8 +120,9 @@ class TestNoDriverMaterialization:
     def test_bfs_shuffle_path(self, chain_edges, monkeypatch):
         with monkeypatch.context() as m:
             self._patched(m, with_take_all=True)
-            # broadcast_threshold=0 forces the shuffle semi-join path too
-            out = bfs_expand(chain_edges, [0], k=2, broadcast_threshold=0)
+            # BROADCAST_ROWS=0 forces the shuffle semi/anti path too
+            m.setattr(joins, "BROADCAST_ROWS", 0)
+            out = bfs_expand(chain_edges, [0], k=2)
         got = out.to_pandas().set_index("node")["hop"].to_dict()
         assert got == {0: 0, 1: 1, 2: 2}
 

@@ -48,6 +48,21 @@ class TestGroupedAgg:
         got = distinct(ds, ["k", "g"]).to_pandas()
         assert len(got) == len(sales[["k", "g"]].drop_duplicates())
 
+    def test_output_blocks_are_arrow_with_the_keys(self, sales):
+        """grouped_agg and distinct combine in Arrow: every block is an
+        Arrow table, and every block with rows carries the key columns
+        (an empty shuffle partition stays a column-less empty block —
+        Ray calls no UDF on it)."""
+        ds = rd.from_pandas(sales).repartition(4)
+        for out in (grouped_agg(ds, ["g"], {"n": (None, "count")}),
+                    distinct(ds, ["g"])):
+            blocks = [ray.get(ref) for bundle in
+                      out.materialize().iter_internal_ref_bundles()
+                      for ref, _ in bundle.blocks]
+            assert all(isinstance(b, pa.Table) for b in blocks)
+            full = [b for b in blocks if b.num_rows]
+            assert full and all("g" in b.column_names for b in full)
+
     def test_top_k(self, sales):
         ds = rd.from_pandas(sales)
         got = top_k(ds, by=["v", "k"], ascending=[False, True], k=10).to_pandas()

@@ -1,6 +1,5 @@
-"""Round-3 regression tests: range-partition probe and order pin, map-side
-join soundness guards, empty-block/value-shape edge cases, float64 score
-cache parity."""
+"""Round-3 regression tests: range-partition probe and order pin,
+empty-block/value-shape edge cases, float64 score cache parity."""
 
 import numpy as np
 import pandas as pd
@@ -15,7 +14,7 @@ from chameleon_entity_linking_ray.pipelines.linkage import (
     run_linkage,
 )
 from chameleon_entity_linking_ray.stages.agg import mean_pool_vectors
-from chameleon_entity_linking_ray.stages.joins import broadcast_hash_join
+from chameleon_entity_linking_ray.stages import joins
 from chameleon_entity_linking_ray.stages.scoring import (
     edit_similarity,
     edit_similarity_batch,
@@ -263,15 +262,6 @@ class TestAnnotateOrder:
         key = out[["conv_id", "turn_idx"]]
         assert key.equals(key.sort_values(["conv_id", "turn_idx"])
                           .reset_index(drop=True))
-
-
-class TestJoinGuards:
-    def test_broadcast_join_rejects_unsound_types(self):
-        big = rd.from_items([{"k": 1, "x": 2}])
-        small = rd.from_items([{"k": 1, "y": 3}])
-        for jt in ("right_outer", "full_outer"):
-            with pytest.raises(ValueError, match="broadcast_hash_join"):
-                broadcast_hash_join(big, small, on=("k",), join_type=jt)
 
 
 class TestEmptyBlocks:
@@ -620,7 +610,7 @@ class TestNoDriverMaterializationR3:
 
 
 class TestExactJaccardPaths:
-    def test_broadcast_equals_bucketed_join_path(self):
+    def test_broadcast_equals_bucketed_join_path(self, monkeypatch):
         import ray.data as rdm
         from chameleon_entity_linking_ray.pipelines.corpus import (
             exact_jaccard_filter,
@@ -634,8 +624,8 @@ class TestExactJaccardPaths:
              for a, b in zip(ids[:20], ids[20:40]) if a != b])
         bc = exact_jaccard_filter(cand, docs, 8, 0.0).to_pandas() \
             .sort_values(["left_doc", "right_doc"]).reset_index(drop=True)
-        jn = exact_jaccard_filter(cand, docs, 8, 0.0,
-                                  broadcast_threshold=0).to_pandas() \
+        monkeypatch.setattr(joins, "BROADCAST_ROWS", 0)
+        jn = exact_jaccard_filter(cand, docs, 8, 0.0).to_pandas() \
             .sort_values(["left_doc", "right_doc"]).reset_index(drop=True)
         pd.testing.assert_frame_equal(bc, jn)
         assert len(bc) == 20

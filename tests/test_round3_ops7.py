@@ -645,36 +645,6 @@ class TestUserValueHistory:
         assert got.loc[2, "value_c"] == 500
 
 
-class TestBloomSemiJoin:
-    def test_bloom_prunes_and_exact_cleanup(self):
-        import ray.data as rd
-        from chameleon_entity_linking_ray.stages.joins import (
-            _bloom_build, _bloom_positions, bloom_semi_join,
-        )
-        import ray
-        rng = np.random.default_rng(9)
-        big = pd.DataFrame({"k": np.arange(20000, dtype=np.int64),
-                            "v": rng.integers(0, 100, 20000)})
-        keys = pd.DataFrame({"k": np.arange(0, 20000, 97, dtype=np.int64)})
-        got = bloom_semi_join(rd.from_pandas(big), rd.from_pandas(keys),
-                              key_col="k").to_pandas()
-        assert sorted(got["k"]) == sorted(keys["k"])
-        # tiny bitmap forces false positives; the exact pass must still
-        # give the right answer
-        got2 = bloom_semi_join(rd.from_pandas(big), rd.from_pandas(keys),
-                               key_col="k", m_bits=256).to_pandas()
-        assert sorted(got2["k"]) == sorted(keys["k"])
-        # the bitmap itself: every true key probes positive
-        words = ray.get(_bloom_build.remote(
-            1 << 16, pa.table({"key": pa.array(keys["k"])})))
-        kk = keys["k"].to_numpy()
-        hit = np.ones(len(kk), bool)
-        for pos in _bloom_positions(kk, 1 << 16):
-            hit &= ((words[pos // 64] >> (pos % 64).astype(np.uint64))
-                    & np.uint64(1)).astype(bool)
-        assert hit.all()
-
-
 class TestSplitAndZorder:
     def test_split_partitions_everything(self):
         from chameleon_entity_linking_ray.pipelines.traindata import (

@@ -1,4 +1,4 @@
-"""Round-4 fix pins: attach_assignments threshold-or-join parity, the
+"""Round-4 fix pins: cluster-id attach broadcast-vs-shuffle parity, the
 value_mad empty-sentinel removal (median == -1 is a legal value), the
 rerank take_along_axis rewrite (>32 queries), and damerau tok-run
 contiguity under explicit tok sort."""
@@ -9,6 +9,7 @@ import pyarrow as pa
 import pytest
 import ray.data as rd
 
+from chameleon_entity_linking_ray.stages import joins
 from chameleon_entity_linking_ray.stages.cluster import attach_assignments
 
 
@@ -17,51 +18,9 @@ def sf0001():
     return "/root/testdata/sf0.001"
 
 
-def _docs(ids):
-    return rd.from_arrow(pa.table({
-        "doc_id": pa.array(ids, pa.int64()),
-        "text": pa.array([f"t{i}" for i in ids], pa.string()),
-    }))
-
-
-def _assign(pairs):
-    return rd.from_arrow(pa.table({
-        "node": pa.array([p[0] for p in pairs], pa.int64()),
-        "cluster": pa.array([p[1] for p in pairs], pa.int64()),
-    }))
-
-
-def test_attach_assignments_broadcast_vs_join_identical():
-    """The over-threshold hash-join path must produce exactly the same
-    (cluster_id, keep) rows as the broadcast path — forced with
-    broadcast_threshold=0."""
-    ids = list(range(10))
-    assigns = [(1, 0), (0, 0), (5, 3), (3, 3), (7, 3)]
-
-    def run(threshold):
-        out = attach_assignments(_docs(ids), _assign(assigns),
-                                 id_col="doc_id",
-                                 broadcast_threshold=threshold,
-                                 num_partitions=4).to_pandas()
-        return out.sort_values("doc_id").reset_index(drop=True)
-
-    bcast = run(1_000_000)
-    joined = run(0)
-    pd.testing.assert_frame_equal(
-        bcast[["doc_id", "cluster_id", "keep"]],
-        joined[["doc_id", "cluster_id", "keep"]])
-    # singletons are their own cluster and kept
-    row9 = bcast[bcast.doc_id == 9].iloc[0]
-    assert row9.cluster_id == 9 and bool(row9.keep)
-    # matched nodes take the component min and only the min keeps
-    assert bcast[bcast.doc_id == 5].iloc[0].cluster_id == 3
-    assert not bool(bcast[bcast.doc_id == 5].iloc[0].keep)
-    assert bool(bcast[bcast.doc_id == 3].iloc[0].keep)
-
-
-def test_assign_clusters_join_path_matches_broadcast():
-    """The flagship's cluster-id attach forced onto the hash-join path
-    (broadcast_threshold=0) gives the same rows, cluster ids and
+def test_assign_clusters_join_path_matches_broadcast(monkeypatch):
+    """The flagship's cluster-id attach forced onto the shuffle path
+    (``joins.BROADCAST_ROWS = 0``) gives the same rows, cluster ids and
     (conv_id, turn_idx, span_start) order as the default broadcast path."""
     from chameleon_entity_linking_ray.config import LinkageConfig
     from chameleon_entity_linking_ray.pipelines.linkage import (
@@ -90,8 +49,8 @@ def test_assign_clusters_join_path_matches_broadcast():
     assert assignments.count() > 0
 
     bcast = assign_clusters(mentions, assignments, cfg).to_pandas()
-    joined = assign_clusters(mentions, assignments, cfg,
-                             broadcast_threshold=0).to_pandas()
+    monkeypatch.setattr(joins, "BROADCAST_ROWS", 0)
+    joined = assign_clusters(mentions, assignments, cfg).to_pandas()
     pd.testing.assert_frame_equal(bcast, joined)
     key = bcast[["conv_id", "turn_idx", "span_start"]]
     assert key.equals(key.sort_values(list(key.columns))
@@ -99,14 +58,7 @@ def test_assign_clusters_join_path_matches_broadcast():
     assert (bcast.cluster_id != bcast.node).any()
 
 
-def test_attach_assignments_empty_assignments():
-    out = attach_assignments(_docs([4, 2]), _assign([]), id_col="doc_id") \
-        .to_pandas().sort_values("doc_id")
-    assert list(out.cluster_id) == [2, 4]
-    assert out.keep.all()
-
-
-def test_dedup_fuzzy_join_path_matches_broadcast(sf0001):
+def test_dedup_fuzzy_join_path_matches_broadcast(sf0001, monkeypatch):
     """dedup_fuzzy_docs through the forced join path must hash-match its
     own broadcast-path output (the oracle-pinned one)."""
     from chameleon_entity_linking_ray.pipelines import corpus as cp
@@ -126,14 +78,15 @@ def test_dedup_fuzzy_join_path_matches_broadcast(sf0001):
         pairs.map_batches(as_edges, batch_format="pyarrow"))
     assignments = assignments.materialize()
 
-    def run(threshold):
+    def run():
         return attach_assignments(docs, assignments, id_col="doc_id",
-                                  broadcast_threshold=threshold,
                                   num_partitions=4) \
             .select_columns(["doc_id", "cluster_id", "keep"]) \
             .to_pandas().sort_values("doc_id").reset_index(drop=True)
 
-    pd.testing.assert_frame_equal(run(10**9), run(0))
+    bcast = run()
+    monkeypatch.setattr(joins, "BROADCAST_ROWS", 0)
+    pd.testing.assert_frame_equal(bcast, run())
 
 
 def test_value_mad_negative_median():

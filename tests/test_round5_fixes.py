@@ -13,6 +13,7 @@ import pyarrow as pa
 import pytest
 import ray
 
+from chameleon_entity_linking_ray.stages import joins
 from chameleon_entity_linking_ray.stages.model import (
     ModelEmbedder,
     ModelPairScorer,
@@ -103,19 +104,19 @@ def _frame(res) -> "pd.DataFrame":
         .reset_index(drop=True)
 
 
-def test_doc_keywords_join_path_matches_broadcast(sf0001):
-    """doc_keywords through the forced term-DF hash-join path must match
+def test_doc_keywords_join_path_matches_broadcast(sf0001, monkeypatch):
+    """doc_keywords through the forced term-DF shuffle path must match
     its broadcast-path output (the oracle-pinned one) frame-for-frame."""
     from chameleon_entity_linking_ray.pipelines.traindata import doc_keywords
 
     bcast = _frame(doc_keywords(sf0001))
-    joined = _frame(doc_keywords(sf0001, broadcast_threshold=0,
-                                 num_partitions=4))
+    monkeypatch.setattr(joins, "BROADCAST_ROWS", 0)
+    joined = _frame(doc_keywords(sf0001, num_partitions=4))
     pd.testing.assert_frame_equal(bcast, joined)
 
 
-def test_triangle_counts_join_path_matches_broadcast(sf0001):
-    """triangle_counts with node degrees attached via two hash joins
+def test_triangle_counts_join_path_matches_broadcast(sf0001, monkeypatch):
+    """triangle_counts with node degrees attached via two shuffles
     (forced) must match the broadcast-degree path exactly."""
     from chameleon_entity_linking_ray.stages.graph import (
         copurchase_edges,
@@ -124,30 +125,31 @@ def test_triangle_counts_join_path_matches_broadcast(sf0001):
 
     edges = copurchase_edges(sf0001).materialize()
     bcast = _frame(triangle_counts(edges))
-    joined = _frame(triangle_counts(edges, broadcast_threshold=0,
-                                    num_buckets=8))
+    monkeypatch.setattr(joins, "BROADCAST_ROWS", 0)
+    joined = _frame(triangle_counts(edges, num_buckets=8))
     pd.testing.assert_frame_equal(bcast, joined)
 
 
-def test_edge_overlap_join_path_matches_broadcast(sf0001):
+def test_edge_overlap_join_path_matches_broadcast(sf0001, monkeypatch):
     """edge_overlap through the forced wedge-join path (edge count over
     threshold) must match the broadcast-CSR path exactly — cn, degrees
     and jaccard per edge."""
     from chameleon_entity_linking_ray.stages.graph import edge_overlap
 
     bcast = _frame(edge_overlap(sf0001))
-    joined = _frame(edge_overlap(sf0001, broadcast_threshold=0,
-                                 num_buckets=8))
+    monkeypatch.setattr(joins, "BROADCAST_ROWS", 0)
+    joined = _frame(edge_overlap(sf0001, num_buckets=8))
     pd.testing.assert_frame_equal(bcast, joined)
 
 
-def test_tf_cosine_disposal_join_path_matches_broadcast(sf0001):
-    """tf_cosine_pairs with the disposal texts attached via the forced
-    hash-join chain must match the broadcast-CSR disposal exactly."""
+def test_tf_cosine_disposal_join_path_matches_broadcast(sf0001, monkeypatch):
+    """tf_cosine_pairs with the disposal texts attached via forced
+    shuffles must match the broadcast disposal exactly."""
     from chameleon_entity_linking_ray.pipelines.corpus import tf_cosine_pairs
 
     bcast = _frame(tf_cosine_pairs(sf0001))
-    joined = _frame(tf_cosine_pairs(sf0001, broadcast_threshold=0))
+    monkeypatch.setattr(joins, "BROADCAST_ROWS", 0)
+    joined = _frame(tf_cosine_pairs(sf0001))
     pd.testing.assert_frame_equal(bcast, joined)
 
 

@@ -83,6 +83,18 @@ def test_agg_buckets_unmoved_for_every_dtype():
             old_agg_bucket_of(df, keys, 97).tolist(), keys
 
 
+def test_nullable_int_keys_hash_exactly():
+    """An integer key column with nulls is read exactly: values past 2**53
+    keep distinct hashes, a null is not 0, and a value hashes the same
+    whether or not its batch holds a null."""
+    t = pa.table({"k": pa.array([1, None, 2**53 + 1, 2**53, 0], pa.int64())})
+    h = key_hash(arrow_key_values(t, ["k"]))
+    assert len(set(h.tolist())) == 5
+    no_null = pa.table({"k": pa.array([1, 2**53 + 1, 2**53, 0], pa.int64())})
+    assert key_hash(arrow_key_values(no_null, ["k"])).tolist() == \
+        h[[0, 2, 3, 4]].tolist()
+
+
 def call_ids():
     """A bucket callback tagging its rows with an id of the call (built in
     a test, so Ray ships it by value)."""

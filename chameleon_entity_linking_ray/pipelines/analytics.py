@@ -32,6 +32,7 @@ from chameleon_entity_linking_ray.stages.agg import (
     grouped_top_k,
     top_k,
 )
+from chameleon_entity_linking_ray.stages.fold import fold
 from chameleon_entity_linking_ray.stages.joins import attach
 
 
@@ -781,16 +782,11 @@ def profile_orders(sf_dir: str) -> Dataset:
     return attach(stats, nd, "col")
 
 
-@ray.remote
-def _moments_fold(*blocks) -> tuple[int, int, int]:
+def _moments_fold(blocks: list[pa.Table]) -> tuple[int, int, int]:
     """(n, Σx, Σx²) from the blocks of a constant-key moment aggregate —
-    folded in a worker task so the driver holds only the ref."""
+    a ``fold``, so the driver holds only the ref."""
     n = s = s2 = 0
-    for b in blocks:
-        t = (b if isinstance(b, pa.Table)
-             else pa.Table.from_pandas(b, preserve_index=False))
-        if t.num_rows == 0:
-            continue
+    for t in blocks:
         n += int(pc.sum(t.column("n")).as_py())
         s += int(pc.sum(t.column("s")).as_py())
         s2 += int(pc.sum(t.column("s2")).as_py())
@@ -817,7 +813,7 @@ def zscore_events(sf_dir: str) -> Dataset:
         })
 
     parts = ev.map_batches(moments, batch_format="pyarrow")
-    ref = _moments_fold.remote(*parts.to_arrow_refs())
+    ref = fold(parts, _moments_fold)
 
     def transform(batch: pa.Table) -> pa.Table:
         n, s, s2 = ray.get(ref)
@@ -1007,18 +1003,13 @@ def rollup_revenue(sf_dir: str) -> Dataset:
     return fine.repartition(1).map_batches(expand, batch_format="pyarrow")
 
 
-@ray.remote
-def _cdf_assemble(*blocks) -> tuple[np.ndarray, np.ndarray, int]:
+def _cdf_assemble(blocks: list[pa.Table]) -> tuple[np.ndarray, np.ndarray, int]:
     """Sorted (value, inclusive-cumulative-count) table from the blocks of
-    a (total_c, n) value-count aggregate — runs in a WORKER task over the
-    aggregate's block refs so the driver only ever holds the object ref."""
-    tbls = [b if isinstance(b, pa.Table)
-            else pa.Table.from_pandas(b, preserve_index=False)
-            for b in blocks]
-    tbls = [t for t in tbls if t.num_rows]
-    if not tbls:
+    a (total_c, n) value-count aggregate — a ``fold``, so the driver only
+    ever holds the object ref."""
+    if not blocks:
         return np.empty(0, np.int64), np.empty(0, np.int64), 0
-    t = pa.concat_tables(tbls)
+    t = pa.concat_tables(blocks)
     vals = t.column("total_c").to_numpy(zero_copy_only=False)
     ns = t.column("n").to_numpy(zero_copy_only=False)
     order = np.argsort(vals, kind="mergesort")
@@ -1027,17 +1018,10 @@ def _cdf_assemble(*blocks) -> tuple[np.ndarray, np.ndarray, int]:
     return vals.astype(np.int64), cum.astype(np.int64), int(cum[-1])
 
 
-@ray.remote
-def _n_fold(*blocks) -> int:
+def _n_fold(blocks: list[pa.Table]) -> int:
     """Total row count from the blocks of a (total_c, n) value-count
     aggregate — only the int crosses back to the driver."""
-    tot = 0
-    for b in blocks:
-        t = (b if isinstance(b, pa.Table)
-             else pa.Table.from_pandas(b, preserve_index=False))
-        if t.num_rows:
-            tot += int(pc.sum(t.column("n")).as_py())
-    return tot
+    return sum(int(pc.sum(t.column("n")).as_py()) for t in blocks)
 
 
 def _window_counts(withc: Dataset, num_buckets: int = 32,
@@ -1074,11 +1058,11 @@ def _window_counts(withc: Dataset, num_buckets: int = 32,
     counts = grouped_agg(withc.select_columns(["total_c"]),
                          keys=["total_c"], aggs={"n": (None, "count")},
                          num_buckets=num_buckets).materialize()
-    n = ray.get(_n_fold.remote(*counts.to_arrow_refs()))
+    n = ray.get(fold(counts, _n_fold))
     n_distinct = counts.count()
 
     if n_distinct <= broadcast_cap:
-        ref = _cdf_assemble.remote(*counts.to_arrow_refs())
+        ref = fold(counts, _cdf_assemble)
 
         def attach(batch: pa.Table) -> pa.Table:
             vals, cum, _n = ray.get(ref)
@@ -1784,25 +1768,17 @@ def unpivot_revenue(sf_dir: str) -> Dataset:
     return wide.map_batches(melt, batch_format="pyarrow")
 
 
-@ray.remote
-def _iqr_bounds(*blocks) -> tuple[float, float]:
+def _iqr_bounds(blocks: list[pa.Table]) -> tuple[float, float]:
     """Fold (total_c, n) value-count blocks into Tukey fences
     (q1 - 1.5*IQR, q3 + 1.5*IQR); PERCENTILE_DISC convention = min value
     whose cumulative count reaches q*n, the same boundary compare
     ``segment_percentiles`` pins against DuckDB."""
-    frames = []
-    for b in blocks:
-        t = (b if isinstance(b, pa.Table)
-             else pa.Table.from_pandas(b, preserve_index=False))
-        if t.num_rows:
-            frames.append(t.select(["total_c", "n"]).to_pandas())
-    df = pd.concat(frames) if frames else \
-        pd.DataFrame({"total_c": [], "n": []})
-    df = df.sort_values("total_c", kind="mergesort")
+    if not blocks:
+        return (0.0, 0.0)
+    df = pd.concat([t.select(["total_c", "n"]).to_pandas() for t in blocks]) \
+        .sort_values("total_c", kind="mergesort")
     vals = df["total_c"].to_numpy(np.int64)
     cum = np.cumsum(df["n"].to_numpy(np.int64))
-    if len(vals) == 0:
-        return (0.0, 0.0)
     n = cum[-1]
     q1 = int(vals[np.searchsorted(cum, 0.25 * n, side="left")])
     q3 = int(vals[np.searchsorted(cum, 0.75 * n, side="left")])
@@ -1831,7 +1807,7 @@ def outlier_events(sf_dir: str, num_buckets: int = 32) -> Dataset:
     counts = grouped_agg(withc, keys=["total_c"],
                          aggs={"n": (None, "count")},
                          num_buckets=num_buckets)
-    ref = _iqr_bounds.remote(*counts.to_arrow_refs())
+    ref = fold(counts, _iqr_bounds)
 
     def flt(batch: pa.Table) -> pa.Table:
         lo, hi = ray.get(ref)
@@ -2117,21 +2093,15 @@ def revenue_share(sf_dir: str) -> Dataset:
     return fine_ds.map_batches(share, batch_format="pyarrow")
 
 
-@ray.remote
-def _mad_fold(*blocks):
+def _mad_fold(blocks: list[pa.Table]):
     """PERCENTILE_DISC(0.5) over a (v, n) value-count table (min value
     whose cumulative count reaches n/2 — the segment_percentiles
     convention). Returns None on empty input — values can legitimately
     be any int (including negatives), so no in-band sentinel."""
-    frames = []
-    for b in blocks:
-        t = (b if isinstance(b, pa.Table)
-             else pa.Table.from_pandas(b, preserve_index=False))
-        if t.num_rows:
-            frames.append(t.select(["v", "n"]).to_pandas())
-    if not frames:
+    if not blocks:
         return None
-    df = pd.concat(frames).sort_values("v", kind="mergesort")
+    df = pd.concat([t.select(["v", "n"]).to_pandas() for t in blocks]) \
+        .sort_values("v", kind="mergesort")
     vals = df["v"].to_numpy(np.int64)
     cum = np.cumsum(df["n"].to_numpy(np.int64))
     return int(vals[np.searchsorted(cum, 0.5 * cum[-1], side="left")])
@@ -2156,7 +2126,7 @@ def value_mad(sf_dir: str, num_buckets: int = 32) -> Dataset:
     withc = ev.map_batches(prep, batch_format="pyarrow")
     c1 = grouped_agg(withc, keys=["v"], aggs={"n": (None, "count")},
                      num_buckets=num_buckets)
-    med = ray.get(_mad_fold.remote(*c1.to_arrow_refs()))
+    med = ray.get(fold(c1, _mad_fold))
     if med is None:  # empty input: emit the typed empty aggregate
         e64 = pa.array([], pa.int64())
         return ray.data.from_arrow(pa.table({"median_c": e64,
@@ -2169,7 +2139,7 @@ def value_mad(sf_dir: str, num_buckets: int = 32) -> Dataset:
     c2 = grouped_agg(withc.map_batches(absdev, batch_format="pyarrow"),
                      keys=["v"], aggs={"n": (None, "count")},
                      num_buckets=num_buckets)
-    mad = ray.get(_mad_fold.remote(*c2.to_arrow_refs()))
+    mad = ray.get(fold(c2, _mad_fold))
     return ray.data.from_arrow(pa.table({
         "median_c": pa.array([med], pa.int64()),
         "mad_c": pa.array([mad], pa.int64())}))

@@ -16,14 +16,16 @@ optional per-stage checkpoints:
       -> connected_components(...)                     # SHUFFLE 4..k (or driver UF)
       -> attach(mentions, assignments, how="left")     # broadcast map: the
          (stages.joins)                                #   table is vocab-sized
-      -> per-partition sort(conv_id, turn_idx)         # output invariant:
-         range-partitioned input (validated by a per-block bounds probe)
-         => per-block sort + ordered materialize, NO shuffle; interleaved
-         input, or an assignment table past joins.BROADCAST_ROWS, takes
-         the global sort
+      -> per-block sort(conv_id, turn_idx) + ordered   # output invariant:
+         materialize; a tiny task per block reads its  #   NO shuffle when the
+         first and last key, the driver checks seams   #   input is range-
+         (first key >= previous last key) => a failed  #   partitioned
+         seam falls back to the global sort of the materialized output
 
     annotate_transcripts(transcripts, clustered)       # run-file output
-      -> distinct (surface, cluster_id) -> ray.put     # vocabulary-sized
+      -> fold(clustered): distinct (surface,           # one task; the table
+         cluster_id), left in the object store         #   is vocab-sized and
+                                                       #   never on the driver
       -> map_batches(re-extract + lookup)              # one map, no join
       -> the same order tail as the mentions, on (conv_id, turn_idx)
 
@@ -59,6 +61,7 @@ from chameleon_entity_linking_ray.stages.extract import (
     find_mentions_batch,
     row_lists,
 )
+from chameleon_entity_linking_ray.stages.fold import each, fold
 from chameleon_entity_linking_ray.stages.order import in_logical_order
 from chameleon_entity_linking_ray.stages.scoring import PairScorer, score_batch
 from chameleon_entity_linking_ray.stages.stats import build_idf_stats
@@ -171,11 +174,11 @@ def _local_sort(ds: Dataset, keys: list[str]) -> Dataset:
     The pipeline's map-only stages preserve input block order, and a
     100 TB transcript corpus is stored range-partitioned by conv_id (each
     shard a disjoint, ordered conv range — the layout the resumable
-    partitioned writer produces). Under that assumption a per-block sort
-    yields globally stable (conv_id, turn_idx) order WITHOUT the all-to-all
+    partitioned writer produces). On such input a per-block sort yields
+    globally stable (conv_id, turn_idx) order WITHOUT the all-to-all
     exchange a global ``Dataset.sort`` costs (measured as the scaling wall:
     ~25 s for the 30M-row mention table on one node, round 1 VERDICT).
-    Callers validate the assumption with ``blocks_range_partitioned``."""
+    ``_output_order`` checks the result at the block seams."""
 
     import numpy as np
 
@@ -196,40 +199,37 @@ def _local_sort(ds: Dataset, keys: list[str]) -> Dataset:
     return ds.map_batches(psort, batch_format="pyarrow", batch_size=None)
 
 
-def blocks_range_partitioned(ds: Dataset, keys: list[str] | None = None) -> bool:
-    """Validate the range-partition contract the per-block sort relies on:
-    per block, emit the min and max composite sort key (one Arrow
-    sort_indices per block — no data movement); the per-block sort yields a
-    globally stable order iff consecutive block boundaries, read in LOGICAL
-    block order with empty blocks skipped, are non-decreasing."""
-    keys = keys or _OUT_KEYS
-    # prune to the key columns: pushes projection into a parquet read and
-    # shrinks the per-block sort_indices input on wide tables
-    ds = ds.select_columns(list(keys))
+def _ends(block: pa.Table, keys: list[str]) -> tuple[tuple, tuple]:
+    """The first and the last ``keys`` row of a sorted, non-empty block."""
+    return tuple(tuple(block.column(k)[i].as_py() for k in keys)
+                 for i in (0, block.num_rows - 1))
 
-    def bounds(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.schema(
-                [(f"{k}_{e}", batch.schema.field(k).type)
-                 for e in ("lo", "hi") for k in keys]).empty_table()
-        idx = pc.sort_indices(
-            batch, sort_keys=[(k, "ascending") for k in keys])
-        lo = batch.take(idx.slice(0, 1))
-        hi = batch.take(idx.slice(len(idx) - 1, 1))
-        cols = {f"{k}_lo": lo.column(k) for k in keys}
-        cols.update({f"{k}_hi": hi.column(k) for k in keys})
-        return pa.table(cols)
 
-    # batch_size=None -> one row per block. The check needs rows in LOGICAL
-    # block order; in completion order this probe spuriously failed and
-    # silently re-routed callers onto the global sort (a 4x flagship
-    # regression).
-    rows = in_logical_order(
-        ds.map_batches(bounds, batch_format="pyarrow", batch_size=None),
-        Dataset.take_all)
-    out = [(tuple(r[f"{k}_lo"] for k in keys), tuple(r[f"{k}_hi"] for k in keys))
-           for r in rows]
-    return all(lo >= prev_hi for (_, prev_hi), (lo, _) in zip(out, out[1:]))
+def _seams_in_order(ends: list[tuple[tuple, tuple]]) -> bool:
+    """Whether sorted blocks, given by their ``_ends`` in block order, form
+    one sorted sequence: each block's first key is >= the key the previous
+    block ends on."""
+    return all(lo >= prev_hi for (_, prev_hi), (lo, _) in zip(ends, ends[1:]))
+
+
+def _output_order(ds: Dataset, keys: list[str]) -> Dataset:
+    """The output tail of ``assign_clusters`` and ``annotate_transcripts``:
+    stable ``keys`` order.
+
+    Every block is sorted in place (``_local_sort``) and the result is
+    materialized in LOGICAL block order — without the pin, ``preserve_order``
+    off hands ``take_all``/``to_pandas``, ``write_parquet`` and the seam
+    check (which reads blocks in stored order) the blocks in completion
+    order. One small ``each`` task per block reads its first and last key
+    where it is stored; the driver checks the seams. They hold when the
+    input was range-partitioned and every stage since kept its blocks in
+    place: the materialized output is returned as is. A failed seam
+    (interleaved input, or an attach that shuffled) falls back to the
+    global ``Dataset.sort`` of that output."""
+    out = in_logical_order(_local_sort(ds, keys), Dataset.materialize)
+    if _seams_in_order(ray.get(each(out, _ends, keys))):
+        return out
+    return out.sort(keys)
 
 
 def assign_clusters(mentions: Dataset, assignments: Dataset,
@@ -237,43 +237,33 @@ def assign_clusters(mentions: Dataset, assignments: Dataset,
     """Left-join mentions (via node = hash(norm)) with CC assignments
     through ``stages.cluster.attach_assignments``; singleton surfaces
     cluster to their own node id. Output in stable
-    (conv_id, turn_idx, span_start) order.
+    (conv_id, turn_idx, span_start) order through ``_output_order``,
+    shared with ``annotate_transcripts``.
 
     The assignment table covers only surfaces that matched something —
-    vocabulary-scale — so up to ``joins.BROADCAST_ROWS`` rows the attach
-    is a broadcast map and keeps the mention blocks in place: when
-    ``blocks_range_partitioned`` validates the mention stream, a per-block
-    sort gives the total order with no shuffle. Interleaved input, or an
-    assignment table past that constant (the bucketed shuffle destroys
-    partition order), ends in the global ``Dataset.sort``. Both tails are
-    ``_output_order``, shared with ``annotate_transcripts``."""
-    from chameleon_entity_linking_ray.stages import joins
+    vocabulary-scale — so the attach is a broadcast map that keeps the
+    mention blocks in place, and the per-block sort passes the seam check.
+    Interleaved input, or an attach past ``joins.BROADCAST_ROWS`` (its
+    bucketed shuffle destroys block order), fails the check and takes the
+    global sort."""
     from chameleon_entity_linking_ray.stages.cluster import attach_assignments
     from chameleon_entity_linking_ray.stages.extract import restore_derived
 
-    in_range = blocks_range_partitioned(mentions)
-    # counted here and in the attach, then read once: pin it
-    assignments = assignments.materialize()
     with_node = mentions.map_batches(add_node_column(), batch_format="pyarrow")
     out = attach_assignments(with_node, assignments, "node",
                              config.num_hash_buckets) \
         .drop_columns(["keep"]) \
         .map_batches(restore_derived, batch_format="pyarrow")
-    return _output_order(
-        out, _OUT_KEYS,
-        in_range and assignments.count() <= joins.BROADCAST_ROWS)
+    return _output_order(out, _OUT_KEYS)
 
 
-def _output_order(ds: Dataset, keys: list[str], in_range: bool) -> Dataset:
-    """The output tail of ``assign_clusters`` and ``annotate_transcripts``:
-    stable ``keys`` order. ``in_range`` (the stream still sits in the
-    blocks ``blocks_range_partitioned`` validated) takes the per-block sort
-    plus an ORDERED materialize — without the pin, ``preserve_order`` off
-    hands ``take_all``/``to_pandas`` and ``write_parquet`` the sorted
-    blocks in completion order. Otherwise the global ``Dataset.sort``."""
-    if in_range:
-        return in_logical_order(_local_sort(ds, keys), Dataset.materialize)
-    return ds.sort(keys)
+def _lookup_table(blocks: list[pa.Table]) -> tuple[pa.Array, pa.Array]:
+    """The distinct ``(surface, cluster_id)`` pairs of ``clustered``'s
+    blocks, as two aligned arrays."""
+    t = pa.concat_tables([_LOOKUP_SCHEMA.empty_table()]
+                         + [b.select(_LOOKUP_SCHEMA.names) for b in blocks])
+    t = t.group_by(_LOOKUP_SCHEMA.names).aggregate([])
+    return tuple(t.column(c).combine_chunks() for c in _LOOKUP_SCHEMA.names)
 
 
 def annotate_transcripts(transcripts: Dataset, clustered: Dataset,
@@ -288,27 +278,15 @@ def annotate_transcripts(transcripts: Dataset, clustered: Dataset,
     under the same ``config``. A mention's cluster depends only on its
     surface, so the turns are annotated in ONE map: it re-runs the
     extraction kernel at ``config.rho_threshold`` (same spans) and looks
-    each surface up in a vocabulary-sized ``surface -> cluster_id`` table
-    broadcast once. A re-extracted surface missing from that table breaks
-    the contract and raises ``ValueError``. The output then takes the
-    same order tail as ``assign_clusters`` (``_output_order``).
+    each surface up in a vocabulary-sized ``surface -> cluster_id`` table.
+    One ``fold`` task builds that table from ``clustered`` and every map
+    task reads it from the object store; the driver never holds it. A
+    re-extracted surface missing from the table breaks the contract and
+    raises ``ValueError``. The output then takes the same order tail as
+    ``assign_clusters`` (``_output_order``).
     """
     config = config or LinkageConfig()
-    in_range = blocks_range_partitioned(transcripts, ["conv_id", "turn_idx"])
-
-    def distinct(batch: pa.Table) -> pa.Table:
-        return batch.select(["surface", "cluster_id"]) \
-            .group_by(["surface", "cluster_id"]).aggregate([])
-
-    # combiner form: a per-block distinct, then one final distinct of the
-    # (vocabulary-sized) partials on the driver. iter_batches streams them
-    # in the one execution (to_arrow_refs would first probe the schema)
-    parts = clustered.map_batches(distinct, batch_format="pyarrow") \
-        .iter_batches(batch_format="pyarrow", batch_size=None)
-    lookup = distinct(pa.concat_tables(
-        [_LOOKUP_SCHEMA.empty_table()] + [t for t in parts if t.num_rows]))
-    lookup_ref = ray.put(tuple(lookup.column(c).combine_chunks()
-                               for c in _LOOKUP_SCHEMA.names))
+    lookup_ref = fold(clustered, _lookup_table)
 
     def annotate(batch: pa.Table) -> pa.Table:
         lut_surface, lut_cluster = ray.get(lookup_ref)
@@ -332,7 +310,7 @@ def annotate_transcripts(transcripts: Dataset, clustered: Dataset,
 
     out = transcripts.map_batches(annotate, batch_format="pyarrow",
                                   batch_size=config.batch_size)
-    return _output_order(out, ["conv_id", "turn_idx"], in_range)
+    return _output_order(out, ["conv_id", "turn_idx"])
 
 
 def run_linkage(transcripts: Dataset, config: LinkageConfig | None = None,
@@ -379,8 +357,8 @@ def run_linkage(transcripts: Dataset, config: LinkageConfig | None = None,
         # two consumers (vocab + final join-back) — pin once, don't recompute.
         # ORDERED materialize: with preserve_order off, materialize() stores
         # blocks in COMPLETION order, which breaks the range-partition
-        # contract downstream (assign_clusters would then always pay the
-        # global sort). Mentions is the only order-bearing table — pin order
+        # contract downstream (assign_clusters' seam check would then fail
+        # and pay the global sort). Mentions is the only order-bearing table — pin order
         # here, leave every other stage free to pipeline out of order.
         mentions = in_logical_order(mentions, Dataset.materialize)
 
@@ -390,8 +368,8 @@ def run_linkage(transcripts: Dataset, config: LinkageConfig | None = None,
 
     pairs = stage("pairs", ["vocab"], generate_pairs, vocab, config)
 
-    # corpus DF statistics: distributed aggregate -> ray.put ONCE -> read by
-    # every scorer in its __init__ (broadcast small side, never re-shipped)
+    # corpus DF statistics: one fold task (a distributed aggregate past
+    # 200k surfaces) -> ray.put ONCE -> read by every scoring task
     t0 = time.time()
     stats_ref = ray.put(build_idf_stats(vocab, config))
     metrics["idf_stats"] = {"wall_sec": round(time.time() - t0, 3)}
@@ -431,8 +409,10 @@ def run_linkage_on_parquet(path: str, config: LinkageConfig | None = None,
                            checkpoint_dir: str | None = None,
                            num_blocks: int | None = None) -> tuple[Dataset, dict]:
     # prune at the read: extraction only needs these three columns.
-    # num_blocks: a single small parquet file loads as ONE block and would
-    # serialize the extraction stage; benchmarks pass ~4x num_cpus.
+    # num_blocks=None leaves the read's block count to Ray: one small file
+    # is one read task whose output Ray splits into a few blocks (perfbench
+    # reads this way, see perfbench/README.md "Input blocks"); pass a count
+    # to pin it.
     ds = ray.data.read_parquet(path, columns=["conv_id", "turn_idx", "text"],
                                override_num_blocks=num_blocks)
     return run_linkage(ds, config, checkpoint_dir, input_paths=[path])

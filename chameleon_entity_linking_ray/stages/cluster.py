@@ -25,9 +25,11 @@ import time
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 from ray.data import Dataset
 
 from chameleon_entity_linking_ray.functions.hashing import mix64
+from chameleon_entity_linking_ray.stages.fold import each
 from chameleon_entity_linking_ray.stages.shuffle import bucketed
 
 _M64 = (1 << 64) - 1
@@ -102,22 +104,17 @@ def _canon_dedup(edges: Dataset, num_buckets: int) -> Dataset:
 
 
 def _checksum(edges: Dataset) -> tuple[int, int]:
-    """Order-independent (sum mod 2^64) multiset checksum + count."""
+    """Order-independent (sum mod 2^64) multiset checksum + count: one
+    ``each`` task per block hashes its edges, the driver sums the pairs."""
+    parts = ray.get(each(edges, _checksum_block))
+    return sum(h for h, _ in parts) & _M64, sum(n for _, n in parts)
 
-    def partial(batch: pa.Table) -> pa.Table:
-        u = batch.column("u").to_numpy(zero_copy_only=False).astype(np.uint64)
-        v = batch.column("v").to_numpy(zero_copy_only=False).astype(np.uint64)
-        h = mix64(u ^ mix64(v, seed=3), seed=5)
-        return pa.table({"h": pa.array([int(h.sum(dtype=np.uint64))], pa.uint64()),
-                         "n": pa.array([len(u)], pa.int64())})
 
-    parts = edges.map_batches(partial, batch_format="pyarrow").take_all()
-    total_h = 0
-    total_n = 0
-    for row in parts:
-        total_h = (total_h + int(row["h"])) & _M64
-        total_n += int(row["n"])
-    return total_h, total_n
+def _checksum_block(b: pa.Table) -> tuple[int, int]:
+    u = b.column("u").to_numpy(zero_copy_only=False).astype(np.uint64)
+    v = b.column("v").to_numpy(zero_copy_only=False).astype(np.uint64)
+    h = mix64(u ^ mix64(v, seed=3), seed=5)
+    return int(h.sum(dtype=np.uint64)), len(u)
 
 
 def _unionfind_assignments(edges: Dataset) -> Dataset:

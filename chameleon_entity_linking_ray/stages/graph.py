@@ -31,6 +31,7 @@ from ray.data import Dataset
 
 from chameleon_entity_linking_ray.functions.hashing import mix64
 from chameleon_entity_linking_ray.stages.agg import distinct, grouped_agg
+from chameleon_entity_linking_ray.stages.fold import fold
 from chameleon_entity_linking_ray.stages import joins
 from chameleon_entity_linking_ray.stages.joins import attach, hash_join
 
@@ -296,13 +297,9 @@ def personalized_pagerank(edges: Dataset, seeds: list[int], alpha: float = 0.85,
         batch_format="pyarrow")
 
 
-@ray.remote
-def _build_csr(*blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(sorted src keys, CSR bounds, dst array) from edge blocks — runs in
-    a worker, so the adjacency never materializes on the driver."""
-    blocks = [b if isinstance(b, pa.Table) else
-              pa.Table.from_pandas(b, preserve_index=False) for b in blocks]
-    blocks = [b for b in blocks if "src" in b.column_names]
+def _build_csr(blocks: list[pa.Table]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sorted src keys, CSR bounds, dst array) from edge blocks — a
+    ``fold``, so the adjacency never materializes on the driver."""
     if blocks:
         tbl = pa.concat_tables(blocks)
         src = tbl.column("src").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -335,7 +332,7 @@ def expand_per_seed(edges: Dataset, seeds: list[int], k: int = 20,
     # CSR adjacency built INSIDE a Ray task from the edge block refs — the
     # blocks never round-trip through the driver heap; the task's return
     # ref is the broadcast handle every walker reads.
-    adj_ref = _build_csr.remote(*edges.to_arrow_refs())
+    adj_ref = fold(edges, _build_csr)
 
     seeds_ds = _nodes_table(list(seeds))
 
@@ -672,7 +669,7 @@ def edge_overlap(sf_dir: str, num_buckets: int = 32) -> Dataset:
     cand = edges.filter(expr="src < dst")
     if edges.count() > joins.BROADCAST_ROWS:
         return _edge_overlap_join(edges, cand, num_buckets)
-    adj_ref = _build_csr.remote(*edges.to_arrow_refs())
+    adj_ref = fold(edges, _build_csr)
 
     def score(batch: pa.Table) -> pa.Table:
         empty = pa.table({"node_a": pa.array([], pa.int64()),

@@ -1,5 +1,5 @@
 """Multimodal columns: opaque ``binary`` payloads + typed metadata, with
-actor-pool decode / feature-extract / frame-sample stages.
+decode / feature-extract / frame-sample / resize task stages.
 
 Round-2: the decode kernels are REAL pure-numpy codecs (no external
 libraries needed in this environment):
@@ -10,14 +10,14 @@ libraries needed in this environment):
 - **video**: a minimal frame container (``GVID`` magic + frame index +
   concatenated BMP frames) — ``encode_gvid`` / ``decode_gvid_frame``
 
-``MediaDecoder`` dispatches on the payload magic bytes; ``fake=True``
+``decode_batch`` dispatches on the payload magic bytes; ``fake=True``
 keeps the old deterministic byte-tiling path for schema-only tests.
 A payload that fails to parse becomes a ``status`` dead-letter row
 (SURVEY.md S9), never a crashed task.
 
 Scale notes: payload batches are kept SMALL (``batch_size`` default 32 —
-large binary payloads x concurrency must fit worker heaps); stages are
-actor pools so codec/model setup happens once per worker, not per batch.
+large binary payloads x running tasks must fit worker heaps); the stages
+are stateless tasks, since the numpy codecs have no setup to amortize.
 Reference analog: the per-passage encode loop of
 /root/reference/BiEncoder/test_retrieval.py:43-49, recast per batch.
 """
@@ -221,181 +221,162 @@ def _fake_pixels(payload: bytes, w: int, h: int) -> np.ndarray:
     return np.tile(raw, reps)[: w * h].reshape(h, w)
 
 
-# ------------------------------------------------------------- actor stages
-
-class MediaDecoder:
-    """Actor-pool stage: payload -> decoded feature columns.
-
-    ``__init__`` is the codec/model load point (once per actor);
-    ``__call__`` decodes a batch. Dispatch is by magic bytes: BMP ->
-    luminance pixels, WAV -> samples mapped to uint8 amplitude, GVID ->
-    first frame. Undecodable payloads become dead-letter rows (``status``
-    column) instead of crashing the task."""
-
-    def __init__(self, fake: bool = False, feature_dim: int = 16):
-        self.fake = fake
-        self.feature_dim = feature_dim
-        # heavier codecs/models would be imported HERE (once per actor)
-
-    def _decode(self, payload: bytes, w: int, h: int) -> np.ndarray:
-        if self.fake:
-            return _fake_pixels(payload, max(1, w), max(1, h))
-        if payload[:2] == b"BM":
-            return decode_bmp(payload)
-        if payload[:4] == b"RIFF":
-            samples, _ = decode_wav(payload)
-            return ((samples.astype(np.int32) >> 8) + 128).astype(np.uint8)
-        if payload[:4] == b"GVID":
-            return decode_bmp(decode_gvid_frame(payload, 0))
-        raise ValueError("unknown media container")
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch.column("payload").to_pylist()
-        ws = batch.column("width").to_numpy(zero_copy_only=False)
-        hs = batch.column("height").to_numpy(zero_copy_only=False)
-        feats = np.zeros((len(payloads), self.feature_dim), dtype=np.float32)
-        # float64: the decoded mean is compared at 6dp against a DOUBLE SQL
-        # oracle — float32 has only ~1e-5 resolution at intensity 128
-        means = np.zeros(len(payloads), dtype=np.float64)
-        status = []
-        for i, p in enumerate(payloads):
-            try:
-                px = self._decode(p, int(ws[i]), int(hs[i]))
-                means[i] = float(px.mean())
-                hist, _ = np.histogram(px, bins=self.feature_dim, range=(0, 256))
-                feats[i] = hist / max(1, hist.sum())
-                status.append("ok")
-            except (ValueError, IndexError, struct.error) as exc:
-                status.append(f"decode_error: {type(exc).__name__}")
-        return pa.table({
-            "media_id": batch.column("media_id"),
-            "mean_intensity": pa.array(means, pa.float64()),
-            "feature": pa.array(list(feats), pa.list_(pa.float32(),
-                                                      self.feature_dim)),
-            "status": pa.array(status, pa.string()),
-        })
+# ------------------------------------------------------------- task stages
+#
+# Each stage is a stateless batch function run as a Ray Data TASK stage:
+# none has setup worth amortizing, and a fixed actor pool as wide as the
+# cluster would hold every CPU slot while its own upstream read still
+# needs one (observed: ``media_decode`` never finished at 4 slots).
 
 
-class FrameSampler:
-    """Actor-pool stage: sample ``n_frames`` evenly-spaced REAL frames per
-    GVID payload — one output row per (media, frame), each frame a decodable
-    BMP payload. Non-GVID payloads dead-letter."""
+def _decode(payload: bytes, w: int, h: int, fake: bool) -> np.ndarray:
+    if fake:
+        return _fake_pixels(payload, max(1, w), max(1, h))
+    if payload[:2] == b"BM":
+        return decode_bmp(payload)
+    if payload[:4] == b"RIFF":
+        samples, _ = decode_wav(payload)
+        return ((samples.astype(np.int32) >> 8) + 128).astype(np.uint8)
+    if payload[:4] == b"GVID":
+        return decode_bmp(decode_gvid_frame(payload, 0))
+    raise ValueError("unknown media container")
 
-    def __init__(self, n_frames: int = 4):
-        self.n_frames = n_frames
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch.column("media_id").to_numpy(zero_copy_only=False)
-        payloads = batch.column("payload").to_pylist()
-        out_ids, out_frame, out_bytes, status = [], [], [], []
-        for mid, p in zip(ids, payloads):
-            try:
-                total = gvid_frame_count(p)
-                picks = np.unique(np.linspace(0, max(0, total - 1),
-                                              min(self.n_frames, total))
-                                  .astype(np.int64))
-                for f in picks:
-                    out_ids.append(int(mid))
-                    out_frame.append(int(f))
-                    out_bytes.append(decode_gvid_frame(p, int(f)))
-                    status.append("ok")
-            except (ValueError, IndexError, struct.error) as exc:
+def decode_batch(batch: pa.Table, fake: bool = False,
+                 feature_dim: int = 16) -> pa.Table:
+    """payload -> decoded feature columns. Dispatch is by magic bytes:
+    BMP -> luminance pixels, WAV -> samples mapped to uint8 amplitude,
+    GVID -> first frame. Undecodable payloads become dead-letter rows
+    (``status`` column) instead of crashing the task."""
+    payloads = batch.column("payload").to_pylist()
+    ws = batch.column("width").to_numpy(zero_copy_only=False)
+    hs = batch.column("height").to_numpy(zero_copy_only=False)
+    feats = np.zeros((len(payloads), feature_dim), dtype=np.float32)
+    # float64: the decoded mean is compared at 6dp against a DOUBLE SQL
+    # oracle — float32 has only ~1e-5 resolution at intensity 128
+    means = np.zeros(len(payloads), dtype=np.float64)
+    status = []
+    for i, p in enumerate(payloads):
+        try:
+            px = _decode(p, int(ws[i]), int(hs[i]), fake)
+            means[i] = float(px.mean())
+            hist, _ = np.histogram(px, bins=feature_dim, range=(0, 256))
+            feats[i] = hist / max(1, hist.sum())
+            status.append("ok")
+        except (ValueError, IndexError, struct.error) as exc:
+            status.append(f"decode_error: {type(exc).__name__}")
+    return pa.table({
+        "media_id": batch.column("media_id"),
+        "mean_intensity": pa.array(means, pa.float64()),
+        "feature": pa.array(list(feats), pa.list_(pa.float32(), feature_dim)),
+        "status": pa.array(status, pa.string()),
+    })
+
+
+def sample_frames_batch(batch: pa.Table, n_frames: int = 4) -> pa.Table:
+    """Sample ``n_frames`` evenly-spaced REAL frames per GVID payload —
+    one output row per (media, frame), each frame a decodable BMP
+    payload. Non-GVID payloads dead-letter."""
+    ids = batch.column("media_id").to_numpy(zero_copy_only=False)
+    payloads = batch.column("payload").to_pylist()
+    out_ids, out_frame, out_bytes, status = [], [], [], []
+    for mid, p in zip(ids, payloads):
+        try:
+            total = gvid_frame_count(p)
+            picks = np.unique(np.linspace(0, max(0, total - 1),
+                                          min(n_frames, total))
+                              .astype(np.int64))
+            for f in picks:
                 out_ids.append(int(mid))
-                out_frame.append(-1)
-                out_bytes.append(b"")
-                status.append(f"decode_error: {type(exc).__name__}")
-        return pa.table({
-            "media_id": pa.array(out_ids, pa.int64()),
-            "frame_idx": pa.array(out_frame, pa.int32()),
-            "frame_payload": pa.array(out_bytes, pa.binary()),
-            "status": pa.array(status, pa.string()),
-        })
+                out_frame.append(int(f))
+                out_bytes.append(decode_gvid_frame(p, int(f)))
+                status.append("ok")
+        except (ValueError, IndexError, struct.error) as exc:
+            out_ids.append(int(mid))
+            out_frame.append(-1)
+            out_bytes.append(b"")
+            status.append(f"decode_error: {type(exc).__name__}")
+    return pa.table({
+        "media_id": pa.array(out_ids, pa.int64()),
+        "frame_idx": pa.array(out_frame, pa.int32()),
+        "frame_payload": pa.array(out_bytes, pa.binary()),
+        "status": pa.array(status, pa.string()),
+    })
 
 
 def decode_media(ds: Dataset, fake: bool = False, feature_dim: int = 16,
-                 batch_size: int = 32, concurrency: int = 4) -> Dataset:
-    """payload -> (media_id, mean_intensity, feature[dim], status) via actor
-    pool. Small batch_size on purpose: batch bytes x concurrency bounds heap."""
-    return ds.map_batches(MediaDecoder,
-                          fn_constructor_kwargs={"fake": fake,
-                                                 "feature_dim": feature_dim},
-                          batch_format="pyarrow", batch_size=batch_size,
-                          concurrency=concurrency)
+                 batch_size: int = 32) -> Dataset:
+    """payload -> (media_id, mean_intensity, feature[dim], status). Small
+    batch_size on purpose: batch bytes x running tasks bounds heap."""
+    return ds.map_batches(decode_batch,
+                          fn_kwargs={"fake": fake, "feature_dim": feature_dim},
+                          batch_format="pyarrow", batch_size=batch_size)
 
 
 def sample_frames(ds: Dataset, n_frames: int = 4,
-                  batch_size: int = 16, concurrency: int = 2) -> Dataset:
-    return ds.map_batches(FrameSampler,
-                          fn_constructor_kwargs={"n_frames": n_frames},
-                          batch_format="pyarrow", batch_size=batch_size,
-                          concurrency=concurrency)
+                  batch_size: int = 16) -> Dataset:
+    return ds.map_batches(sample_frames_batch,
+                          fn_kwargs={"n_frames": n_frames},
+                          batch_format="pyarrow", batch_size=batch_size)
 
 
-class MediaResizer:
-    """Actor-pool stage: decode + grid-resize to ``out_h x out_w`` by
-    block-mean pooling — the engine form of the reference-adjacent
-    image-preprocess step (resize before embedding). The grid map is the
-    integer floor map ``cell = (row * out_h) // h`` (deterministic, no
-    float resampling), so each output cell is the exact AVG of its input
-    pixels — SQL-derivable for formulaic media. Emits LONG format
-    (media_id, py, px, v) so values are scalar-comparable cross-engine;
-    v is the IEEE division of an exact int sum by an exact count."""
-
-    def __init__(self, out_w: int = 4, out_h: int = 4):
-        self.out_w = out_w
-        self.out_h = out_h
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch.column("payload").to_pylist()
-        ids = batch.column("media_id").to_numpy(zero_copy_only=False)
-        ow, oh = self.out_w, self.out_h
-        out_id, out_py, out_px, out_v, status, st_id = [], [], [], [], [], []
-        for mid, p in zip(ids, payloads):
-            try:
-                px = decode_bmp(p) if p[:2] == b"BM" else \
-                    decode_bmp(decode_gvid_frame(p, 0))
-                h, w = px.shape
-                ry = (np.arange(h, dtype=np.int64) * oh) // h
-                rx = (np.arange(w, dtype=np.int64) * ow) // w
-                cell = (ry[:, None] * ow + rx[None, :]).reshape(-1)
-                sums = np.bincount(cell, weights=px.reshape(-1)
-                                   .astype(np.float64), minlength=ow * oh)
-                cnts = np.bincount(cell, minlength=ow * oh)
-                out_id.append(np.full(ow * oh, int(mid), np.int64))
-                out_py.append(np.arange(ow * oh, dtype=np.int64) // ow)
-                out_px.append(np.arange(ow * oh, dtype=np.int64) % ow)
-                out_v.append(sums / np.maximum(cnts, 1))
-            except (ValueError, IndexError, struct.error) as exc:
-                st_id.append(int(mid))
-                status.append(f"decode_error: {type(exc).__name__}")
-        n_ok = len(out_id)
-        tbl = pa.table({
-            "media_id": pa.array(np.concatenate(out_id) if n_ok else
-                                 np.empty(0, np.int64), pa.int64()),
-            "py": pa.array(np.concatenate(out_py) if n_ok else
-                           np.empty(0, np.int64), pa.int64()),
-            "px": pa.array(np.concatenate(out_px) if n_ok else
-                           np.empty(0, np.int64), pa.int64()),
-            "v": pa.array(np.concatenate(out_v) if n_ok else
-                          np.empty(0, np.float64), pa.float64()),
+def resize_batch(batch: pa.Table, out_w: int = 4, out_h: int = 4) -> pa.Table:
+    """Decode + grid-resize to ``out_h x out_w`` by block-mean pooling —
+    the engine form of the reference-adjacent image-preprocess step
+    (resize before embedding). The grid map is the integer floor map
+    ``cell = (row * out_h) // h`` (deterministic, no float resampling), so
+    each output cell is the exact AVG of its input pixels — SQL-derivable
+    for formulaic media. Emits LONG format (media_id, py, px, v) so values
+    are scalar-comparable cross-engine; v is the IEEE division of an exact
+    int sum by an exact count."""
+    payloads = batch.column("payload").to_pylist()
+    ids = batch.column("media_id").to_numpy(zero_copy_only=False)
+    ow, oh = out_w, out_h
+    out_id, out_py, out_px, out_v, status, st_id = [], [], [], [], [], []
+    for mid, p in zip(ids, payloads):
+        try:
+            px = decode_bmp(p) if p[:2] == b"BM" else \
+                decode_bmp(decode_gvid_frame(p, 0))
+            h, w = px.shape
+            ry = (np.arange(h, dtype=np.int64) * oh) // h
+            rx = (np.arange(w, dtype=np.int64) * ow) // w
+            cell = (ry[:, None] * ow + rx[None, :]).reshape(-1)
+            sums = np.bincount(cell, weights=px.reshape(-1)
+                               .astype(np.float64), minlength=ow * oh)
+            cnts = np.bincount(cell, minlength=ow * oh)
+            out_id.append(np.full(ow * oh, int(mid), np.int64))
+            out_py.append(np.arange(ow * oh, dtype=np.int64) // ow)
+            out_px.append(np.arange(ow * oh, dtype=np.int64) % ow)
+            out_v.append(sums / np.maximum(cnts, 1))
+        except (ValueError, IndexError, struct.error) as exc:
+            st_id.append(int(mid))
+            status.append(f"decode_error: {type(exc).__name__}")
+    n_ok = len(out_id)
+    tbl = pa.table({
+        "media_id": pa.array(np.concatenate(out_id) if n_ok else
+                             np.empty(0, np.int64), pa.int64()),
+        "py": pa.array(np.concatenate(out_py) if n_ok else
+                       np.empty(0, np.int64), pa.int64()),
+        "px": pa.array(np.concatenate(out_px) if n_ok else
+                       np.empty(0, np.int64), pa.int64()),
+        "v": pa.array(np.concatenate(out_v) if n_ok else
+                      np.empty(0, np.float64), pa.float64()),
+    })
+    if status:  # dead-letter rows keep the failure visible downstream
+        dead = pa.table({
+            "media_id": pa.array(st_id, pa.int64()),
+            "py": pa.array([-1] * len(st_id), pa.int64()),
+            "px": pa.array([-1] * len(st_id), pa.int64()),
+            "v": pa.array([float("nan")] * len(st_id), pa.float64()),
         })
-        if status:  # dead-letter rows keep the failure visible downstream
-            dead = pa.table({
-                "media_id": pa.array(st_id, pa.int64()),
-                "py": pa.array([-1] * len(st_id), pa.int64()),
-                "px": pa.array([-1] * len(st_id), pa.int64()),
-                "v": pa.array([float("nan")] * len(st_id), pa.float64()),
-            })
-            tbl = pa.concat_tables([tbl, dead])
-        return tbl
+        tbl = pa.concat_tables([tbl, dead])
+    return tbl
 
 
 def resize_media(ds: Dataset, out_w: int = 4, out_h: int = 4,
-                 batch_size: int = 32, concurrency: int = 4) -> Dataset:
-    """payload -> long-format block-mean grid via actor pool (small
-    batches: payload bytes x concurrency bounds worker heap)."""
-    return ds.map_batches(MediaResizer,
-                          fn_constructor_kwargs={"out_w": out_w,
-                                                 "out_h": out_h},
-                          batch_format="pyarrow", batch_size=batch_size,
-                          concurrency=concurrency)
+                 batch_size: int = 32) -> Dataset:
+    """payload -> long-format block-mean grid (small batches: payload
+    bytes x running tasks bounds worker heap)."""
+    return ds.map_batches(resize_batch,
+                          fn_kwargs={"out_w": out_w, "out_h": out_h},
+                          batch_format="pyarrow", batch_size=batch_size)

@@ -2,11 +2,12 @@
 
 The reference's discriminative power comes from trained LUKE towers; the
 deterministic engine scorer gets its discrimination from corpus statistics
-instead: char-ngram and token document frequencies computed as a
-pre-aggregated distributed ``groupby().aggregate(Sum)`` over mentions
-(partial counts per batch -> tiny final shuffle), then broadcast via
-``ray.put`` once and looked up inside scorer actors with vectorized
-``np.searchsorted`` — the canonical "small side broadcast" join pattern.
+instead: char-ngram and token document frequencies, counted in one
+``fold`` task over a vocabulary-sized input and as a pre-aggregated
+distributed ``groupby().aggregate(Sum)`` above that (partial counts per
+batch -> tiny final shuffle), then broadcast via ``ray.put`` once and
+looked up inside the scoring tasks with vectorized ``np.searchsorted`` —
+the canonical "small side broadcast" join pattern.
 
 At 10^12-mention scale the vocabulary is capped to the ``max_vocab`` most
 frequent terms (rare terms get the default/max IDF, which is the right
@@ -19,11 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import pyarrow as pa
+import ray
 from ray.data import Dataset
 from ray.data.aggregate import Sum
 
 from chameleon_entity_linking_ray.config import LinkageConfig
 from chameleon_entity_linking_ray.functions.hashing import flat_ngram_hashes, hash64
+from chameleon_entity_linking_ray.stages.fold import fold
 
 
 @dataclass
@@ -80,40 +83,52 @@ def _partial_counts(texts: list[str], k: int) -> tuple[np.ndarray, np.ndarray, n
     return ng_h, ng_c, tk_h, tk_c
 
 
+def _df_table(texts: list[str], k: int) -> pa.Table:
+    """Document frequencies over ``texts``: ``kind`` (0 char n-gram,
+    1 token), ``h`` (its hash as int64), ``c`` (documents holding it)."""
+    ng_h, ng_c, tk_h, tk_c = _partial_counts(texts, k)
+    return pa.table({
+        "kind": pa.array([0] * len(ng_h) + [1] * len(tk_h), pa.int8()),
+        "h": pa.array(np.concatenate([ng_h.view(np.int64), tk_h.view(np.int64)]),
+                      pa.int64()),
+        "c": pa.array(np.concatenate([ng_c, tk_c]), pa.int64()),
+    })
+
+
 def build_idf_stats(mentions: Dataset, config: LinkageConfig,
                     text_col: str = "norm", max_vocab: int = 1_000_000) -> IdfStats:
-    """Distributed DF aggregate -> driver-side IdfStats (bounded by max_vocab)."""
+    """DF aggregate -> IdfStats (bounded by max_vocab): one ``fold`` task
+    up to 200k documents, a distributed aggregate above."""
     k = config.shingle_k
-
-    def partials(batch: pa.Table) -> pa.Table:
-        texts = batch.column(text_col).to_pylist()
-        ng_h, ng_c, tk_h, tk_c = _partial_counts(texts, k)
-        return pa.table({
-            "kind": pa.array([0] * len(ng_h) + [1] * len(tk_h), pa.int8()),
-            "h": pa.array(np.concatenate([ng_h.view(np.int64), tk_h.view(np.int64)]),
-                          pa.int64()),
-            "c": pa.array(np.concatenate([ng_c, tk_c]), pa.int64()),
-        })
-
     n_docs = mentions.count()
-    parts = mentions.map_batches(partials, batch_format="pyarrow")
     if n_docs <= 200_000:
-        # small vocab: combine the per-block partials on the driver — the
+        # small vocab: one task counts every block at once — the
         # distributed groupby+sort costs several scheduling barriers that
         # dwarf the actual work at this size
-        import pandas as pd
-        frames = [b.to_pandas()
-                  for b in parts.iter_batches(batch_format="pyarrow")]
-        if frames:
-            tbl = pd.concat(frames).groupby(["kind", "h"], sort=False)["c"] \
-                .sum().rename("df").reset_index() \
-                .sort_values("df", ascending=False).head(max_vocab)
-        else:
-            tbl = pd.DataFrame(columns=["kind", "h", "df"])
-    else:
-        agg = parts.groupby(["kind", "h"]).aggregate(Sum("c", alias_name="df")) \
-            .sort("df", descending=True).limit(max_vocab)
-        tbl = agg.to_pandas()
+        return ray.get(fold(mentions, _fold_idf_stats, text_col, k,
+                            max_vocab, n_docs))
+
+    def partials(batch: pa.Table) -> pa.Table:
+        return _df_table(batch.column(text_col).to_pylist(), k)
+
+    agg = mentions.map_batches(partials, batch_format="pyarrow") \
+        .groupby(["kind", "h"]).aggregate(Sum("c", alias_name="df")) \
+        .sort("df", descending=True).limit(max_vocab)
+    return _idf_stats(agg.to_pandas(), n_docs)
+
+
+def _fold_idf_stats(blocks: list[pa.Table], text_col: str, k: int,
+                    max_vocab: int, n_docs: int) -> IdfStats:
+    """``build_idf_stats`` in one task: one DF table over every block's
+    texts, its ``max_vocab`` most frequent terms kept."""
+    texts = [t for b in blocks for t in b.column(text_col).to_pylist()]
+    tbl = _df_table(texts, k).to_pandas().rename(columns={"c": "df"}) \
+        .sort_values("df", ascending=False, kind="stable").head(max_vocab)
+    return _idf_stats(tbl, n_docs)
+
+
+def _idf_stats(tbl, n_docs: int) -> IdfStats:
+    """IdfStats from a pandas (kind, h, df) document-frequency table."""
     if tbl.empty or "kind" not in tbl.columns:  # empty corpus
         e64 = np.empty(0, np.uint64)
         e32 = np.empty(0, np.float32)

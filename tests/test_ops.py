@@ -230,7 +230,7 @@ class TestMultimodal:
         import numpy as np
         media = synth_media(50, seed=7)
         ds = rd.from_arrow(media)
-        out = decode_media(ds, feature_dim=8, concurrency=2).to_pandas()
+        out = decode_media(ds, feature_dim=8).to_pandas()
         assert len(out) == 50
         assert set(out.columns) == {"media_id", "mean_intensity", "feature",
                                     "status"}
@@ -243,8 +243,7 @@ class TestMultimodal:
             px = decode_bmp(media.column("payload")[i].as_py())
             assert out["mean_intensity"][i] == pytest.approx(px.mean(),
                                                              abs=1e-3)
-        out2 = decode_media(rd.from_arrow(media), feature_dim=8,
-                            concurrency=2).to_pandas() \
+        out2 = decode_media(rd.from_arrow(media), feature_dim=8).to_pandas() \
             .sort_values("media_id").reset_index(drop=True)
         assert (out["mean_intensity"] == out2["mean_intensity"]).all()
 
@@ -255,8 +254,8 @@ class TestMultimodal:
         wave = (np.sin(np.arange(500) / 7.0) * 9000).astype(np.int16)
         got, rate = decode_wav(encode_wav(wave, 8000))
         assert rate == 8000 and (got == wave).all()
-        out = decode_media(rd.from_arrow(synth_media(12, seed=3, kind="audio")),
-                           concurrency=2).to_pandas()
+        out = decode_media(
+            rd.from_arrow(synth_media(12, seed=3, kind="audio"))).to_pandas()
         assert (out["status"] == "ok").all() and len(out) == 12
 
     def test_dead_letter_on_bad_payload(self):
@@ -266,8 +265,38 @@ class TestMultimodal:
         tbl = synth_media(4, seed=7)
         bad = tbl.set_column(2, "payload",
                              pa.array([b"\x00garbage"] * 4, pa.binary()))
-        out = decode_media(rd.from_arrow(bad), concurrency=2).to_pandas()
+        out = decode_media(rd.from_arrow(bad)).to_pandas()
         assert out["status"].str.startswith("decode_error").all()
+
+    @pytest.mark.parametrize("query", ["media_decode", "media_resize"])
+    def test_media_queries_finish_in_the_test_session(self, query):
+        # the media stages must leave CPU slots for their own upstream read:
+        # a fixed pool as wide as this 4-slot session never finished. A
+        # daemon thread bounds the wait, so a stall fails instead of hanging
+        # the suite. The values must match the query's DuckDB oracle.
+        import threading
+
+        import duckdb
+
+        import __ray_entry__ as entry
+        result = {}
+
+        def run():
+            result["df"] = entry.queries()[query](SF).to_pandas()
+
+        t = threading.Thread(target=run, daemon=True)
+        t.start()
+        t.join(timeout=180)
+        assert not t.is_alive(), f"{query} did not finish in 180 s"
+        con = duckdb.connect()
+        con.sql(f"CREATE VIEW part AS SELECT * FROM '{SF}/part.parquet'")
+        want = con.sql(entry.oracle_sql()[query]).df()
+        got = result["df"][list(want.columns)]
+        keys = [c for c in want.columns if want[c].dtype != float]
+        pd.testing.assert_frame_equal(
+            got.sort_values(keys).reset_index(drop=True),
+            want.sort_values(keys).reset_index(drop=True),
+            check_dtype=False, atol=1e-6)
 
     def test_frame_sampler_real_frames(self):
         from chameleon_entity_linking_ray.stages.multimodal import (

@@ -1,4 +1,4 @@
-"""Round-3 regression tests: range-partition probe and order pin,
+"""Round-3 regression tests: output-order seam check and order pin,
 empty-block/value-shape edge cases, float64 score cache parity."""
 
 import numpy as np
@@ -10,11 +10,14 @@ import ray.data as rd
 
 from chameleon_entity_linking_ray.config import LinkageConfig
 from chameleon_entity_linking_ray.pipelines.linkage import (
-    blocks_range_partitioned,
+    _ends,
+    _output_order,
+    _seams_in_order,
     run_linkage,
 )
 from chameleon_entity_linking_ray.stages.agg import mean_pool_vectors
 from chameleon_entity_linking_ray.stages import joins
+from chameleon_entity_linking_ray.stages.fold import each
 from chameleon_entity_linking_ray.stages.scoring import (
     edit_similarity,
     edit_similarity_batch,
@@ -22,18 +25,42 @@ from chameleon_entity_linking_ray.stages.scoring import (
 from chameleon_entity_linking_ray.testing.synth import make_transcripts
 
 
+@pytest.fixture
+def sort_calls(monkeypatch):
+    """The key lists of the ``Dataset.sort`` calls: which output tail ran
+    (the bucketed shuffles sort on a single internal column name)."""
+    calls = []
+    real = rd.Dataset.sort
+
+    def spy(self, key, *args, **kwargs):
+        if isinstance(key, list):
+            calls.append(key)
+        return real(self, key, *args, **kwargs)
+
+    monkeypatch.setattr(rd.Dataset, "sort", spy)
+    return calls
+
+
 class TestOrderAuto:
-    def test_range_partitioned_true_on_disjoint_blocks(self):
+    def test_range_partitioned_true_on_disjoint_blocks(self, sort_calls):
+        # sorted, disjoint blocks pass the seam check: the per-block sort
+        # is the output, no global sort runs
         a = pa.table({"k": ["a", "a", "b"], "t": [0, 1, 0]})
         b = pa.table({"k": ["c", "d"], "t": [5, 0]})
         ds = rd.from_arrow(a).union(rd.from_arrow(b))
-        assert blocks_range_partitioned(ds, keys=["k", "t"])
+        out = _output_order(ds, ["k", "t"])
+        assert sort_calls == []
+        assert [(r["k"], r["t"]) for r in out.take_all()] == \
+            [("a", 0), ("a", 1), ("b", 0), ("c", 5), ("d", 0)]
 
-    def test_range_partitioned_false_on_overlap(self):
+    def test_range_partitioned_false_on_overlap(self, sort_calls):
+        # overlapping blocks fail the seam check: the global sort runs
         a = pa.table({"k": ["a", "c"], "t": [0, 0]})
         b = pa.table({"k": ["b", "d"], "t": [0, 0]})
         ds = rd.from_arrow(a).union(rd.from_arrow(b))
-        assert not blocks_range_partitioned(ds, keys=["k", "t"])
+        out = _output_order(ds, ["k", "t"])
+        assert sort_calls == [["k", "t"]]
+        assert [r["k"] for r in out.take_all()] == ["a", "b", "c", "d"]
 
     def test_ordered_materialize_keeps_logical_block_order(self, tmp_path):
         # The session fixture pins preserve_order=True; this test flips it
@@ -64,8 +91,8 @@ class TestOrderAuto:
                 .repartition(8).map_batches(slow_first, batch_format="pyarrow")
             m = in_logical_order(ds, rd.Dataset.materialize)
             assert m.num_blocks() == 8
-            assert blocks_range_partitioned(m, keys=["k"]) is True
-            # the shared context flags were restored, the probe's included
+            assert _seams_in_order(ray.get(each(m, _ends, ["k"]))) is True
+            # the shared context flags were restored
             assert ds.context.execution_options.preserve_order is False
             assert m.context.execution_options.preserve_order is False
 
@@ -78,31 +105,42 @@ class TestOrderAuto:
 
     def test_probe_reads_bounds_in_logical_order(self, monkeypatch):
         # Timing cannot make blocks finish out of order reliably (the test
-        # above passes with or without the pin), so check the probe's
-        # plumbing instead: its one collect of the per-block bounds goes
-        # through the order pin, as take_all.
+        # above passes with or without the pin), so check the seam check's
+        # plumbing instead: its per-block ``each`` tasks read the blocks of
+        # the output that went through the order pin, as materialize.
         import chameleon_entity_linking_ray.pipelines.linkage as linkage
-        real = linkage.in_logical_order
-        actions = []
+        real_pin, real_each = linkage.in_logical_order, linkage.each
+        actions, pinned, read = [], [], []
 
-        def recorder(ds, action):
+        def pin(ds, action):
             actions.append(action)
-            return real(ds, action)
+            pinned.append(real_pin(ds, action))
+            return pinned[-1]
 
-        monkeypatch.setattr(linkage, "in_logical_order", recorder)
+        def each_spy(ds, fn, *args):
+            read.append(ds)
+            return real_each(ds, fn, *args)
+
+        monkeypatch.setattr(linkage, "in_logical_order", pin)
+        monkeypatch.setattr(linkage, "each", each_spy)
         a = pa.table({"k": ["a", "b"], "t": [0, 0]})
         b = pa.table({"k": ["c", "d"], "t": [0, 0]})
-        assert blocks_range_partitioned(
-            rd.from_arrow(a).union(rd.from_arrow(b)), keys=["k", "t"])
-        assert actions == [rd.Dataset.take_all]
+        out = _output_order(rd.from_arrow(a).union(rd.from_arrow(b)),
+                            ["k", "t"])
+        assert actions == [rd.Dataset.materialize]
+        assert read == pinned == [out]
 
-    def test_auto_falls_back_to_global_on_interleaved_input(self):
+    def test_auto_falls_back_to_global_on_interleaved_input(
+            self, sort_calls):
         transcripts, _ = make_transcripts(n_convs=30, n_entities=8, seed=7)
         perm = np.random.default_rng(0).permutation(transcripts.num_rows)
         shuffled = transcripts.take(pa.array(perm)) \
             .select(["conv_id", "turn_idx", "text"])
         ds = rd.from_arrow(shuffled).repartition(6)
-        clustered, _ = run_linkage(ds, LinkageConfig())
+        # batches below the block size keep the output in several blocks;
+        # the default would coalesce this small input into one sorted block
+        clustered, _ = run_linkage(ds, LinkageConfig(batch_size=32))
+        assert sort_calls == [["conv_id", "turn_idx", "span_start"]]
         out = clustered.to_pandas()
         key = out[["conv_id", "turn_idx", "span_start"]]
         assert key.equals(
@@ -117,23 +155,25 @@ class TestAnnotateOrder:
             annotate_transcripts,
             run_linkage,
         )
+        # batches below the block size keep the outputs in several blocks;
+        # the default would coalesce this small input into one sorted block
+        cfg = LinkageConfig(batch_size=32)
         ds = rd2.from_arrow(transcripts_tbl).repartition(4)
-        clustered, _ = run_linkage(ds, LinkageConfig())
-        return annotate_transcripts(ds, clustered, LinkageConfig()).to_pandas()
+        clustered, _ = run_linkage(ds, cfg)
+        return annotate_transcripts(ds, clustered, cfg).to_pandas()
 
-    def test_partitioned_equals_global_on_sorted_input(self):
-        # the probe routes the sorted turns onto the per-block sort and the
-        # permuted ones onto the global sort
+    def test_partitioned_equals_global_on_sorted_input(self, sort_calls):
+        # the seam check keeps the sorted turns on the per-block sort and
+        # sends the permuted ones (mentions and turns) to the global sort
         transcripts, _ = make_transcripts(n_convs=25, n_entities=8, seed=5)
         tbl = transcripts.select(["conv_id", "turn_idx", "text"])
         perm = np.random.default_rng(3).permutation(tbl.num_rows)
         permuted = tbl.take(pa.array(perm))
-        keys = ["conv_id", "turn_idx"]
-        assert blocks_range_partitioned(rd.from_arrow(tbl).repartition(4), keys)
-        assert not blocks_range_partitioned(
-            rd.from_arrow(permuted).repartition(4), keys)
         a = self._run(tbl)
+        assert sort_calls == []
         b = self._run(permuted)
+        assert sort_calls == [["conv_id", "turn_idx", "span_start"],
+                              ["conv_id", "turn_idx"]]
         assert a[["conv_id", "turn_idx", "text"]].equals(
             b[["conv_id", "turn_idx", "text"]])
         assert a["entities"].map(list).tolist() == b["entities"].map(list).tolist()
@@ -222,9 +262,10 @@ class TestAnnotateOrder:
             annotate_transcripts(ds, clustered, LinkageConfig()).take_all()
 
     def test_lookup_collected_in_one_execution(self, monkeypatch):
-        # the surface -> cluster_id partials are collected by the execution
-        # that computes them; a schema probe before it would run the
-        # distinct map again under a `limit` operator
+        # the surface -> cluster_id table is a fold task over the
+        # materialized `clustered`: annotating runs ONE execution (the
+        # annotate map and its order tail), no distinct map and no schema
+        # probe under a `limit` operator
         from ray.data._internal.execution.streaming_executor import (
             StreamingExecutor,
         )
@@ -250,8 +291,10 @@ class TestAnnotateOrder:
         monkeypatch.setattr(StreamingExecutor, "execute", spy)
         out = annotate_transcripts(ds, clustered, LinkageConfig()).take_all()
         assert len(out) == transcripts.num_rows
-        assert any("MapBatches(distinct)" in p for p in map(" ".join, plans))
-        assert not [p for p in plans if any("limit" in n for n in p)]
+        assert len(plans) == 1
+        assert "MapBatches(annotate)" in " ".join(plans[0])
+        assert "distinct" not in " ".join(plans[0])
+        assert not [n for n in plans[0] if "limit" in n]
 
     def test_auto_falls_back_on_interleaved(self):
         transcripts, _ = make_transcripts(n_convs=25, n_entities=8, seed=5)

@@ -121,11 +121,10 @@ def test_edge_overlap_nbrs_guard():
     """edge_overlap must not crash or mis-slice when a candidate endpoint
     is absent from the CSR keys (one-direction edge sets)."""
     from chameleon_entity_linking_ray.stages.graph import _build_csr
-    import ray
 
     edges = pa.table({"src": pa.array([1, 1, 5], pa.int64()),
                       "dst": pa.array([2, 3, 6], pa.int64())})
-    keys_s, bounds, dst_s = ray.get(_build_csr.remote(edges))
+    keys_s, bounds, dst_s = _build_csr([edges])
     # endpoint 2 exists only as a dst: a guarded nbrs() returns empty
     i = np.searchsorted(keys_s, 2)
     assert i >= len(keys_s) or keys_s[i] != 2  # precondition of the bug

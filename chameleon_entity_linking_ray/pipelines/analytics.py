@@ -162,8 +162,8 @@ def events_semi(sf_dir: str) -> Dataset:
     cust = read_table(sf_dir, "customer", ["c_custkey", "c_acctbal"])
     rich = cust.filter(expr="c_acctbal > 5000")
     ev = read_table(sf_dir, "events", ["user_id", "event_type"])
-    # key side stays Arrow end-to-end: block refs -> one sorted key array
-    # built in a worker and broadcast
+    # key side stays Arrow end-to-end: one sorted key array built in a
+    # fold and broadcast
     kept = attach(ev, rich, "user_id", right_on="c_custkey", how="semi")
     return grouped_agg(kept, keys=["event_type"],
                        aggs={"n_events": (None, "count")})
@@ -797,7 +797,7 @@ def zscore_events(sf_dir: str) -> Dataset:
     """FIT/TRANSFORM feature standardization — the ML-preprocessing
     pattern every training pipeline needs: FIT is one combiner moment
     aggregate over exact integer cents (n, Σx, Σx² — one row per block,
-    folded in a worker task), TRANSFORM is a map-only broadcast pass
+    reduced in one ``fold``), TRANSFORM is a map-only broadcast pass
     computing z = (x - mean) / std with the identical IEEE expression
     the oracle uses. No shuffle at all: the fit state is O(1) and the
     transform touches each row once."""

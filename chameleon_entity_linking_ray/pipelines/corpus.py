@@ -35,6 +35,7 @@ from chameleon_entity_linking_ray.functions.text import (
 from chameleon_entity_linking_ray.pipelines.analytics import read_table
 from chameleon_entity_linking_ray.stages.agg import embedding_matrix, grouped_agg, grouped_top_k
 from chameleon_entity_linking_ray.stages.blocking import block_pairs
+from chameleon_entity_linking_ray.stages.fold import fold
 from chameleon_entity_linking_ray.stages.joins import attach
 
 
@@ -181,13 +182,10 @@ def _attach_texts(cand: Dataset, docs: Dataset) -> Dataset:
                   docs, "right_doc", right_on="doc_id")
 
 
-@ray.remote
-def _assemble_matrix(*blocks) -> tuple[np.ndarray, np.ndarray]:
-    """(vec_id array, L2-normalized float64 matrix) from embedding blocks —
-    runs in a WORKER task; the driver only ever holds the object ref."""
-    blocks = [b if isinstance(b, pa.Table) else
-              pa.Table.from_pandas(b, preserve_index=False) for b in blocks]
-    blocks = [b for b in blocks if "vec_id" in b.column_names]
+def _assemble_matrix(blocks: list[pa.Table]) -> tuple[np.ndarray, np.ndarray]:
+    """(vec_id array, L2-normalized float64 matrix) from (vec_id,
+    embedding) blocks, rows sorted by vec_id: one ``fold`` builds it, so
+    the embedding table never materializes on the driver."""
     if not blocks:
         return np.empty(0, np.int64), np.empty((0, 0), np.float64)
     t = pa.concat_tables(blocks)
@@ -197,13 +195,6 @@ def _assemble_matrix(*blocks) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(ids, kind="mergesort")  # sorted ids -> searchsorted probes
     return ids[order], mat[order]
 
-
-def broadcast_embedding_matrix(emb: Dataset):
-    """Object ref to (ids, normalized matrix), assembled from the dataset's
-    Arrow block refs INSIDE a task — the embedding table never materializes
-    on the driver (the broadcast pattern of ``stages.joins.attach``)."""
-    return _assemble_matrix.remote(
-        *emb.select_columns(["vec_id", "embedding"]).to_arrow_refs())
 
 def dedup_exact(sf_dir: str) -> Dataset:
     """Exact dedup: hash-partition by text, keep min doc_id per text group
@@ -412,26 +403,22 @@ def ann_topk(sf_dir: str, n_queries: int = 10, k: int = 5) -> Dataset:
     qmat /= np.maximum(np.linalg.norm(qmat, axis=1, keepdims=True), 1e-12)
     ref = ray.put((qids, qmat))
 
-    class Score:
-        def __init__(self):
-            self.qids, self.qmat = ray.get(ref)
+    def score(batch: pa.Table) -> pa.Table:
+        qids, qmat = ray.get(ref)
+        ids = batch.column("vec_id").to_numpy(zero_copy_only=False)
+        mat = embedding_matrix(batch.column("embedding"))
+        mat /= np.maximum(np.linalg.norm(mat, axis=1, keepdims=True), 1e-12)
+        scores = qmat @ mat.T  # [q, n]
+        nq, n = scores.shape
+        # raw float64 scores: ordering is compared cross-engine, values
+        # are not — rounding would CREATE ties the oracle doesn't see
+        return pa.table({
+            "query_id": pa.array(np.repeat(qids, n), pa.int64()),
+            "vec_id": pa.array(np.tile(ids, nq), pa.int64()),
+            "score": pa.array(scores.reshape(-1), pa.float64()),
+        })
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ids = batch.column("vec_id").to_numpy(zero_copy_only=False)
-            mat = embedding_matrix(batch.column("embedding"))
-            mat /= np.maximum(np.linalg.norm(mat, axis=1, keepdims=True), 1e-12)
-            scores = self.qmat @ mat.T  # [q, n]
-            nq, n = scores.shape
-            # raw float64 scores: ordering is compared cross-engine, values
-            # are not — rounding would CREATE ties the oracle doesn't see
-            return pa.table({
-                "query_id": pa.array(np.repeat(self.qids, n), pa.int64()),
-                "vec_id": pa.array(np.tile(ids, nq), pa.int64()),
-                "score": pa.array(scores.reshape(-1), pa.float64()),
-            })
-
-    scored = emb.map_batches(Score, batch_format="pyarrow", batch_size=4096,
-                             concurrency=(1, 4))
+    scored = emb.map_batches(score, batch_format="pyarrow", batch_size=4096)
     scored = scored.filter(expr="query_id != vec_id")
     out = grouped_top_k(scored, group_keys=["query_id"],
                         by=["score", "vec_id"], ascending=[False, True],
@@ -482,36 +469,33 @@ def ann_lsh_topk(sf_dir: str, n_queries: int = 10, k: int = 5,
     qbucket = (qsig << np.arange(n_planes, dtype=np.uint64)).sum(axis=1)
     ref = ray.put((qids, qmat, qbucket, plane_mat))
 
-    class BucketScore:
-        def __init__(self):
-            self.qids, self.qmat, self.qbucket, self.planes = ray.get(ref)
+    def bucket_score(batch: pa.Table) -> pa.Table:
+        qids, qmat, qbucket, planes = ray.get(ref)
+        ids = batch.column("vec_id").to_numpy(zero_copy_only=False)
+        mat = embedding_matrix(batch.column("embedding"))
+        mat /= np.maximum(np.linalg.norm(mat, axis=1, keepdims=True), 1e-12)
+        sig = (mat @ planes.T > 0).astype(np.uint64)
+        bucket = (sig << np.arange(sig.shape[1], dtype=np.uint64)).sum(axis=1)
+        outs = []
+        for qi in range(len(qids)):
+            mask = bucket == qbucket[qi]
+            if not mask.any():
+                continue
+            scores = mat[mask] @ qmat[qi]
+            outs.append(pa.table({
+                "query_id": pa.array(np.full(mask.sum(), qids[qi]),
+                                     pa.int64()),
+                "vec_id": pa.array(ids[mask], pa.int64()),
+                "score": pa.array(scores, pa.float64()),
+            }))
+        if not outs:
+            return pa.table({"query_id": pa.array([], pa.int64()),
+                             "vec_id": pa.array([], pa.int64()),
+                             "score": pa.array([], pa.float64())})
+        return pa.concat_tables(outs)
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ids = batch.column("vec_id").to_numpy(zero_copy_only=False)
-            mat = embedding_matrix(batch.column("embedding"))
-            mat /= np.maximum(np.linalg.norm(mat, axis=1, keepdims=True), 1e-12)
-            sig = (mat @ self.planes.T > 0).astype(np.uint64)
-            bucket = (sig << np.arange(sig.shape[1], dtype=np.uint64)).sum(axis=1)
-            outs = []
-            for qi in range(len(self.qids)):
-                mask = bucket == self.qbucket[qi]
-                if not mask.any():
-                    continue
-                scores = mat[mask] @ self.qmat[qi]
-                outs.append(pa.table({
-                    "query_id": pa.array(np.full(mask.sum(), self.qids[qi]),
-                                         pa.int64()),
-                    "vec_id": pa.array(ids[mask], pa.int64()),
-                    "score": pa.array(scores, pa.float64()),
-                }))
-            if not outs:
-                return pa.table({"query_id": pa.array([], pa.int64()),
-                                 "vec_id": pa.array([], pa.int64()),
-                                 "score": pa.array([], pa.float64())})
-            return pa.concat_tables(outs)
-
-    scored = emb.map_batches(BucketScore, batch_format="pyarrow",
-                             batch_size=4096, concurrency=(1, 4))
+    scored = emb.map_batches(bucket_score, batch_format="pyarrow",
+                             batch_size=4096)
     scored = scored.filter(expr="query_id != vec_id")
     out = grouped_top_k(scored, group_keys=["query_id"],
                         by=["score", "vec_id"], ascending=[False, True],
@@ -527,16 +511,14 @@ def ann_lsh_topk(sf_dir: str, n_queries: int = 10, k: int = 5,
 
 def embedding_near_dups(sf_dir: str, threshold: float = 0.35) -> Dataset:
     """Embedding-cosine near-dup pairs, EXACT: every block computes one
-    matmul against the broadcast normalized matrix (``ray.put`` once) and
+    matmul against the broadcast normalized matrix (one ``fold``) and
     emits its (i < j) pairs above threshold — the brute-force baseline the
     DuckDB oracle verifies value-for-value. O(n^2/B) per block: right for
     corpora whose embedding table fits the object store; the 100 TB path
     is ``embedding_near_dups_lsh`` (hyperplane-bucketed, same output
     contract)."""
     emb = read_table(sf_dir, "embeddings", ["vec_id", "embedding"]).materialize()
-    # (ids, matrix) assembled in a worker task from block refs — never a
-    # driver-side to_pandas of the embedding table
-    ref = broadcast_embedding_matrix(emb)
+    ref = fold(emb, _assemble_matrix)
 
     def block_pairs(batch: pa.Table) -> pa.Table:
         aids, amat = ray.get(ref)  # zero-copy shared-memory read per task
@@ -577,7 +559,7 @@ def embedding_near_dups_lsh(sf_dir: str, threshold: float = 0.35,
     pairing over id-sorted members (cap n*W instead of n^2/2 — the
     blocking stage's skew policy)."""
     emb = read_table(sf_dir, "embeddings", ["vec_id", "embedding"]).materialize()
-    mat_ref = broadcast_embedding_matrix(emb)
+    mat_ref = fold(emb, _assemble_matrix)
 
     # LSH buckets ride as (vec_id, table*2^planes + bits) — embeddings do
     # NOT ride the n_tables-x shuffle; the exact-cosine stage reads the
@@ -976,38 +958,34 @@ def ann_ivf_topk(sf_dir: str, n_queries: int = 10, k: int = 5,
                        kind="stable")[:, :n_probe]
     qref = ray.put((qids, qmat, probe))
 
-    class ProbeScore:
-        def __init__(self):
-            self.c = ray.get(cref)
-            self.qids, self.qmat, self.probe = ray.get(qref)
+    def probe_score(batch: pa.Table) -> pa.Table:
+        c = ray.get(cref)
+        qids, qmat, probe = ray.get(qref)
+        ids = batch.column("vec_id").to_numpy(zero_copy_only=False)
+        mat = _norm(embedding_matrix(batch.column("embedding")))
+        cell = (mat @ c.T).argmax(axis=1)
+        out_q, out_v, out_s = [], [], []
+        for qi in range(len(qids)):
+            hit = np.isin(cell, probe[qi])
+            hit &= ids != qids[qi]
+            if not hit.any():
+                continue
+            s = mat[hit] @ qmat[qi]
+            out_q.append(np.full(int(hit.sum()), qids[qi], np.int64))
+            out_v.append(ids[hit].astype(np.int64))
+            out_s.append(s)
+        if not out_q:
+            return pa.table({"query_id": pa.array([], pa.int64()),
+                             "vec_id": pa.array([], pa.int64()),
+                             "score": pa.array([], pa.float64())})
+        return pa.table({
+            "query_id": pa.array(np.concatenate(out_q)),
+            "vec_id": pa.array(np.concatenate(out_v)),
+            "score": pa.array(np.concatenate(out_s), pa.float64()),
+        })
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ids = batch.column("vec_id").to_numpy(zero_copy_only=False)
-            mat = _norm(embedding_matrix(batch.column("embedding")))
-            cell = (mat @ self.c.T).argmax(axis=1)
-            out_q, out_v, out_s = [], [], []
-            for qi in range(len(self.qids)):
-                hit = np.isin(cell, self.probe[qi])
-                hit &= ids != self.qids[qi]
-                if not hit.any():
-                    continue
-                s = mat[hit] @ self.qmat[qi]
-                out_q.append(np.full(int(hit.sum()), self.qids[qi],
-                                     np.int64))
-                out_v.append(ids[hit].astype(np.int64))
-                out_s.append(s)
-            if not out_q:
-                return pa.table({"query_id": pa.array([], pa.int64()),
-                                 "vec_id": pa.array([], pa.int64()),
-                                 "score": pa.array([], pa.float64())})
-            return pa.table({
-                "query_id": pa.array(np.concatenate(out_q)),
-                "vec_id": pa.array(np.concatenate(out_v)),
-                "score": pa.array(np.concatenate(out_s), pa.float64()),
-            })
-
-    scored = emb.map_batches(ProbeScore, batch_format="pyarrow",
-                             batch_size=4096, concurrency=(1, 4))
+    scored = emb.map_batches(probe_score, batch_format="pyarrow",
+                             batch_size=4096)
     out = grouped_top_k(scored, group_keys=["query_id"],
                         by=["score", "vec_id"], ascending=[False, True],
                         k=k, rank_col="rnk")
@@ -1097,18 +1075,13 @@ BM25_QUERIES: dict[str, str] = {
 }
 
 
-@ray.remote
-def _bm25_stats(m: int, *blocks) -> tuple[int, float, np.ndarray]:
-    """(N docs, avgdl, df per term) from the per-doc tf table's block
-    refs — assembled in a worker task; the driver holds only the ref."""
+def _bm25_stats(blocks: list[pa.Table],
+                m: int) -> tuple[int, float, np.ndarray]:
+    """(N docs, avgdl, df per term) from the per-doc tf table's blocks."""
     n_docs = 0
     sum_dl = 0
     df = np.zeros(m, np.int64)
-    for b in blocks:
-        t = (b if isinstance(b, pa.Table)
-             else pa.Table.from_pandas(b, preserve_index=False))
-        if t.num_rows == 0:
-            continue
+    for t in blocks:
         n_docs += t.num_rows
         sum_dl += int(pc.sum(t.column("dl")).as_py())
         for i in range(m):
@@ -1125,8 +1098,8 @@ def bm25_topk(sf_dir: str, k: int = 10, k1: float = 1.2,
     ``runbm25anserini``; this computes the same ranking in-engine).
 
     Shape: ONE tokenize pass emits a narrow per-doc table (doc_id, dl,
-    tf per query term — a handful of int columns); a worker task folds
-    its block refs into (N, avgdl, df) — O(#terms) broadcast state; the
+    tf per query term — a handful of int columns); one ``fold`` reduces
+    its blocks to (N, avgdl, df) — O(#terms) broadcast state; the
     scoring pass is map-only vectorized float math; the only shuffle is
     the per-query top-k over docs that matched at least one term.
     Scores are rounded to 6 dp on both engines and tie-broken by doc_id,
@@ -1157,7 +1130,7 @@ def bm25_topk(sf_dir: str, k: int = 10, k1: float = 1.2,
         return pa.table(cols)
 
     tfs = docs.map_batches(tf_table, batch_format="pyarrow").materialize()
-    ref = _bm25_stats.remote(m, *tfs.to_arrow_refs())
+    ref = fold(tfs, _bm25_stats, m)
 
     def score(batch: pa.Table) -> pa.Table:
         n_docs, avgdl, df = ray.get(ref)
@@ -1270,21 +1243,6 @@ def snm_pairs(sf_dir: str, window: int = 6) -> Dataset:
 
 # ------------------------------------------------------- retrieve-then-rerank
 
-@ray.remote
-def _assemble_small(*blocks) -> pa.Table:
-    """Concat a SMALL table's block refs in a worker task — the broadcast
-    handle pattern (never ray.get on the driver)."""
-    tabs = [b if isinstance(b, pa.Table)
-            else pa.Table.from_pandas(b, preserve_index=False)
-            for b in blocks]
-    # zero-row pandas blocks carry degenerate dtypes (object/float64)
-    # that poison the concat schema — drop them
-    nonempty = [t for t in tabs if t.num_rows > 0]
-    if not nonempty and not tabs:
-        raise ValueError("_assemble_small: dataset yielded zero blocks")
-    return pa.concat_tables(nonempty or tabs[:1]).combine_chunks()
-
-
 def rerank_bm25(sf_dir: str, k_retrieve: int = 50,
                 k_final: int = 10) -> Dataset:
     """The reference's core retrieve-then-rerank flow as ONE composed,
@@ -1300,7 +1258,7 @@ def rerank_bm25(sf_dir: str, k_retrieve: int = 50,
     which is pinned by the linkage e2e instead).
 
     Shape: the candidate table (<= #queries * k_retrieve rows) is
-    assembled from block refs in a worker task and broadcast; the rerank
+    assembled in one ``fold`` and broadcast; the rerank
     pass is a map over the documents table (is_in prefilter, vectorized
     distinct-token counts + per-term presence), so no shuffle touches the
     corpus — the only shuffle is the final tiny per-query top-k.
@@ -1308,7 +1266,9 @@ def rerank_bm25(sf_dir: str, k_retrieve: int = 50,
     terms_by_q = {q: BM25_QUERIES[q].split() for q in sorted(BM25_QUERIES)}
     qids = sorted(terms_by_q)
     cand = bm25_topk(sf_dir, k=k_retrieve)
-    cand_ref = _assemble_small.remote(*cand.to_arrow_refs())
+    # one table of the candidates, None when there are none
+    cand_ref = fold(cand, lambda blocks: pa.concat_tables(blocks)
+                    if blocks else None)
 
     docs = read_table(sf_dir, "documents", ["doc_id", "text"])
 
@@ -1320,6 +1280,8 @@ def rerank_bm25(sf_dir: str, k_retrieve: int = 50,
             "bm25": pa.array([], pa.float64()),
             "jac": pa.array([], pa.float64()),
             "rerank": pa.array([], pa.float64())})
+        if c is None:
+            return empty
         keep = pc.is_in(batch.column("doc_id").cast(pa.int64()),
                         value_set=c.column("doc_id").combine_chunks())
         sub = batch.filter(keep)
@@ -1673,20 +1635,15 @@ def jw_name_pairs(sf_dir: str, threshold: float = 0.85,
         .groupby("bucket").map_groups(pairs, batch_format="pandas")
 
 
-@ray.remote
-def _pair_f1(*blocks) -> pa.Table:
+def _pair_f1(blocks: list[pa.Table]) -> pa.Table:
     """Fold (cluster_id, truth, n) contingency blocks into pairwise
     precision/recall/F1 — the north-rule clustering metric. The
     contingency table is O(clusters x truth-groups), tiny by the time it
-    reaches this task; the corpus never leaves the combiner stage."""
-    tabs = [b if isinstance(b, pa.Table)
-            else pa.Table.from_pandas(b, preserve_index=False)
-            for b in blocks]
-    tabs = [t for t in tabs if t.num_rows > 0]
-    if not tabs:
+    reaches this fold; the corpus never leaves the combiner stage."""
+    if not blocks:
         df = pd.DataFrame({"cluster_id": [], "truth": [], "n": []})
     else:
-        df = pa.concat_tables(tabs).combine_chunks().to_pandas()
+        df = pa.concat_tables(blocks).to_pandas()
     n = df["n"].to_numpy(np.int64) if len(df) else np.empty(0, np.int64)
 
     def pairs(sizes: np.ndarray) -> int:
@@ -1717,7 +1674,7 @@ def clustering_eval(sf_dir: str, window: int = 6, cap: int = 4) -> Dataset:
     labels — the north rule's clustering metric as an ENGINE OPERATOR,
     not just a test harness: one bucketed contingency aggregate
     (cluster_id x truth label, combiner form), then O(groups) arithmetic
-    in a worker task. pairs_* are exact integers; P/R/F1 single float
+    in one ``fold``. pairs_* are exact integers; P/R/F1 single float
     divisions, so the whole row hash-matches SQL.
     """
     from chameleon_entity_linking_ray.stages.agg import grouped_agg
@@ -1733,26 +1690,20 @@ def clustering_eval(sf_dir: str, window: int = 6, cap: int = 4) -> Dataset:
                          "n": batch.column("n")})
 
     cont = joint.map_batches(rename, batch_format="pyarrow")
-    # materialized first: to_arrow_refs() on the lazy plan would run it
-    # again up to a limit=1 operator for the schema
-    out = _pair_f1.remote(*cont.materialize().to_arrow_refs())
-    return ray.data.from_arrow_refs([out])
+    return ray.data.from_arrow_refs([fold(cont, _pair_f1)])
 
 
-@ray.remote
-def _blocking_fold(true_pairs: int, n_records: int, *blocks) -> pa.Table:
+def _blocking_fold(blocks: list[pa.Table], true_pairs: int,
+                   n_records: int) -> pa.Table:
     """Fold per-block (pairs, covered) partials into the blocking-quality
     row: reduction ratio + pairs completeness (Christen's blocking
     metrics). All counts exact ints; the two ratios single float
     divisions mirrored in SQL."""
     cand = 0
     covered = 0
-    for b in blocks:
-        t = (b if isinstance(b, pa.Table)
-             else pa.Table.from_pandas(b, preserve_index=False))
-        if t.num_rows:
-            cand += int(pc.sum(t.column("pairs")).as_py())
-            covered += int(pc.sum(t.column("covered")).as_py())
+    for t in blocks:
+        cand += int(pc.sum(t.column("pairs")).as_py())
+        covered += int(pc.sum(t.column("covered")).as_py())
     total = n_records * (n_records - 1) // 2
     rr = 1.0 - cand / total if total else 0.0
     pcm = covered / true_pairs if true_pairs else 0.0
@@ -1811,9 +1762,8 @@ def blocking_stats(sf_dir: str, window: int = 6) -> Dataset:
         .to_pandas()
     true_pairs = int(tp_parts["tp"].sum()) if len(tp_parts) else 0
     n_records = int(tp_parts["n"].sum()) if len(tp_parts) else 0
-    out = _blocking_fold.remote(true_pairs, n_records,
-                                *partials.to_arrow_refs())
-    return ray.data.from_arrow_refs([out])
+    return ray.data.from_arrow_refs(
+        [fold(partials, _blocking_fold, true_pairs, n_records)])
 
 
 def tf_cosine_pairs(sf_dir: str, threshold: float = 0.6,
@@ -1941,14 +1891,9 @@ def tf_cosine_pairs(sf_dir: str, threshold: float = 0.6,
     return out
 
 
-@ray.remote
-def _assemble_part_attrs(*blocks):
-    """(sorted p_partkey, brand/type/size arrays) from part block refs —
-    worker-side assembly, driver holds the ref only."""
-    tabs = [b if isinstance(b, pa.Table)
-            else pa.Table.from_pandas(b, preserve_index=False)
-            for b in blocks]
-    t = pa.concat_tables([x for x in tabs if x.num_rows > 0])
+def _assemble_part_attrs(blocks: list[pa.Table]):
+    """(sorted p_partkey, brand/type/size arrays) from part blocks."""
+    t = pa.concat_tables(blocks)
     ids = t.column("p_partkey").to_numpy(zero_copy_only=False) \
         .astype(np.int64)
     order = np.argsort(ids, kind="mergesort")
@@ -1961,19 +1906,15 @@ def _assemble_part_attrs(*blocks):
 _FS_FIELDS = ("p_brand", "p_type", "p_size")
 
 
-@ray.remote
-def _fs_fold(*blocks) -> pa.Table:
+def _fs_fold(blocks: list[pa.Table]) -> pa.Table:
     """Fold per-block agreement partials into the Fellegi-Sunter m/u
     table: one row per comparator field with P(agree|match) and
     P(agree|non-match) — the supervised (truth-labelled) estimate of the
     FS match/unmatch weights (the EM-free case). Counts exact ints; m/u
     single divisions mirrored in SQL."""
     tot = np.zeros(2 + 2 * len(_FS_FIELDS), np.int64)
-    for b in blocks:
-        t = (b if isinstance(b, pa.Table)
-             else pa.Table.from_pandas(b, preserve_index=False))
-        if t.num_rows:
-            tot += t.to_pandas().to_numpy(np.int64).sum(axis=0)
+    for t in blocks:
+        tot += t.to_pandas().to_numpy(np.int64).sum(axis=0)
     n_match, n_unmatch = int(tot[0]), int(tot[1])
     rows = []
     for i, f in enumerate(_FS_FIELDS):
@@ -2000,9 +1941,10 @@ def fs_weights(sf_dir: str, window: int = 6) -> Dataset:
     Supervised closed-form estimates (counts/ratios), so unlike the EM
     fitting the reference-class systems use, every value is
     SQL-verifiable. Pair stream reduces map-side to one partial-count
-    row per block; attributes probe a broadcast sorted-array table
-    (dimension-table assumption — swap for a bucketed ``hash_join`` on
-    the pair ids when the attribute table outgrows a broadcast).
+    row per block; attributes probe a sorted-array table broadcast from
+    one ``fold`` (dimension-table assumption — swap for a bucketed
+    ``hash_join`` on the pair ids when the attribute table outgrows a
+    broadcast).
     """
     from chameleon_entity_linking_ray.stages.blocking import (
         sorted_neighborhood_pairs,
@@ -2019,9 +1961,8 @@ def fs_weights(sf_dir: str, window: int = 6) -> Dataset:
     keyed = part.map_batches(prep, batch_format="pyarrow")
     pairs = sorted_neighborhood_pairs(keyed, key_col="key", id_col="id",
                                       window=window, carry_key=True)
-    attr_ref = _assemble_part_attrs.remote(
-        *part.select_columns(["p_partkey", "p_brand", "p_type", "p_size"])
-        .to_arrow_refs())
+    attr_ref = fold(part.select_columns(
+        ["p_partkey", "p_brand", "p_type", "p_size"]), _assemble_part_attrs)
 
     def partial(batch: pa.Table) -> pa.Table:
         cols = ["n_match", "n_unmatch"] + \
@@ -2045,8 +1986,7 @@ def fs_weights(sf_dir: str, window: int = 6) -> Dataset:
                          for c, v in zip(cols, out)})
 
     partials = pairs.map_batches(partial, batch_format="pyarrow")
-    out = _fs_fold.remote(*partials.to_arrow_refs())
-    return ray.data.from_arrow_refs([out])
+    return ray.data.from_arrow_refs([fold(partials, _fs_fold)])
 
 
 def golden_records(sf_dir: str, window: int = 6, cap: int = 4,
@@ -2288,23 +2228,19 @@ def ann_topk_int8(sf_dir: str, n_queries: int = 10, k: int = 5) -> Dataset:
         np.stack(qdf["embedding"].to_numpy()).astype(np.float64))
     ref = ray.put((qids, qmat))
 
-    class Score:
-        def __init__(self):
-            self.qids, self.qmat = ray.get(ref)
+    def score(batch: pa.Table) -> pa.Table:
+        qids, qmat = ray.get(ref)
+        ids = batch.column("vec_id").to_numpy(zero_copy_only=False)
+        mat, _ = _int8_quant(embedding_matrix(batch.column("embedding")))
+        dots = qmat @ mat.T  # exact int64 [q, n]
+        nq, n = dots.shape
+        return pa.table({
+            "query_id": pa.array(np.repeat(qids, n), pa.int64()),
+            "vec_id": pa.array(np.tile(ids, nq), pa.int64()),
+            "dot_int": pa.array(dots.reshape(-1), pa.int64()),
+        })
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ids = batch.column("vec_id").to_numpy(zero_copy_only=False)
-            mat, _ = _int8_quant(embedding_matrix(batch.column("embedding")))
-            dots = self.qmat @ mat.T  # exact int64 [q, n]
-            nq, n = dots.shape
-            return pa.table({
-                "query_id": pa.array(np.repeat(self.qids, n), pa.int64()),
-                "vec_id": pa.array(np.tile(ids, nq), pa.int64()),
-                "dot_int": pa.array(dots.reshape(-1), pa.int64()),
-            })
-
-    scored = emb.map_batches(Score, batch_format="pyarrow",
-                             batch_size=4096, concurrency=(1, 4))
+    scored = emb.map_batches(score, batch_format="pyarrow", batch_size=4096)
     scored = scored.filter(expr="query_id != vec_id")
     out = grouped_top_k(scored, group_keys=["query_id"],
                         by=["dot_int", "vec_id"], ascending=[False, True],

@@ -41,6 +41,7 @@ from chameleon_entity_linking_ray.stages.agg import (
     grouped_top_k,
     top_k,
 )
+from chameleon_entity_linking_ray.stages.fold import fold
 
 # GPT-2-ish pretokenizer classes: letter runs, digit runs, single
 # non-alphanumeric marks. RE2-compatible (no lookarounds) so Arrow and
@@ -494,18 +495,15 @@ def _word_ngrams(batch: pa.Table, n: int):
     return s.to_numpy(), doc_of.astype(np.int64), ng.astype(np.int64)
 
 
-@ray.remote
-def _gram_set(*blocks) -> frozenset:
-    """Union the per-block distinct-gram tables into one frozenset —
-    assembled in a worker task from block refs; the driver holds only
-    the object ref (benchmark eval sets are MBs even at 100 TB corpus
-    scale, so a broadcast set is the right shape)."""
+def _gram_set(blocks: list[pa.Table]) -> frozenset:
+    """Union the blocks' ``g`` (gram) columns into one frozenset, folded
+    in a worker: the driver holds only the object ref. Its callers'
+    sets — a benchmark eval slice's grams, the duplicated grams of a
+    corpus — are bounded by the benchmark or by the duplication, not by
+    the corpus, so a broadcast set is the right shape."""
     out: set = set()
-    for b in blocks:
-        t = (b if isinstance(b, pa.Table)
-             else pa.Table.from_pandas(b, preserve_index=False))
-        if t.num_rows:
-            out.update(t.column("g").to_pylist())
+    for t in blocks:
+        out.update(t.column("g").to_pylist())
     return frozenset(out)
 
 
@@ -518,7 +516,7 @@ def decontaminate(sf_dir: str, n: int = 5, eval_mod: int = 20) -> Dataset:
     sized to the ~54-token synthetic docs (real pipelines use 8-13).
 
     Dataflow: one pass builds the eval slice's DISTINCT n-grams as
-    per-block partials (map-only), a worker task unions them into a
+    per-block partials (map-only), one ``fold`` unions them into a
     broadcast frozenset, then one map-only pass over the training slice
     counts gram occurrences hitting the set (vectorized pandas isin +
     bincount). No shuffle at all — the benchmark side is broadcast-small
@@ -539,7 +537,7 @@ def decontaminate(sf_dir: str, n: int = 5, eval_mod: int = 20) -> Dataset:
         return pa.table({"g": pa.array(pd.unique(grams), pa.string())})
 
     bench = docs.map_batches(eval_grams, batch_format="pyarrow")
-    ref = _gram_set.remote(*bench.to_arrow_refs())
+    ref = fold(bench, _gram_set)
 
     def score(batch: pa.Table) -> pa.Table:
         bench_set = ray.get(ref)
@@ -564,19 +562,14 @@ def decontaminate(sf_dir: str, n: int = 5, eval_mod: int = 20) -> Dataset:
 
 # ------------------------------------------------- LM scoring / dup spans
 
-@ray.remote
-def _count_map(*blocks) -> tuple[dict, int]:
+def _count_map(blocks: list[pa.Table]) -> tuple[dict, int]:
     """Union per-block (token, cnt) partials into one {token: count} dict
-    plus the corpus total — worker-task assembly from block refs (the
-    unigram LM of a 100 TB corpus is bounded by the VOCABULARY, so a
-    broadcast dict is the right shape)."""
+    plus the corpus total, in one ``fold`` (the unigram LM of a 100 TB
+    corpus is bounded by the VOCABULARY, so a broadcast dict is the right
+    shape)."""
     out: dict = {}
     total = 0
-    for b in blocks:
-        t = (b if isinstance(b, pa.Table)
-             else pa.Table.from_pandas(b, preserve_index=False))
-        if t.num_rows == 0:  # empty blocks can lose the schema
-            continue
+    for t in blocks:
         for tok, c in zip(t.column("tok").to_pylist(),
                           t.column("cnt").to_pylist()):
             out[tok] = out.get(tok, 0) + int(c)
@@ -591,7 +584,7 @@ def doc_logprob(sf_dir: str) -> Dataset:
 
     Two passes: (1) combiner token counts (per-block value_counts, one
     tiny grouped_agg keyed by token — shuffle O(vocabulary)), unioned
-    into a broadcast {token: count} dict by a worker task; (2) map-only
+    into a broadcast {token: count} dict by one ``fold``; (2) map-only
     scoring — mean over token positions of ln(count/total). No smoothing
     term is needed: every scored token is in the LM by construction.
     """
@@ -609,7 +602,7 @@ def doc_logprob(sf_dir: str) -> Dataset:
 
     counts = grouped_agg(docs.map_batches(tok_partial, batch_format="pyarrow"),
                          ["tok"], {"cnt": ("cnt", "sum")})
-    ref = _count_map.remote(*counts.to_arrow_refs())
+    ref = fold(counts, _count_map)
 
     def score(batch: pa.Table) -> pa.Table:
         cmap, total = ray.get(ref)
@@ -635,20 +628,6 @@ def doc_logprob(sf_dir: str) -> Dataset:
     return docs.map_batches(score, batch_format="pyarrow")
 
 
-@ray.remote
-def _dup_gram_set(*blocks) -> frozenset:
-    """Grams whose document frequency is >= 2, as a broadcast frozenset —
-    bounded by the number of DUPLICATED grams (tiny unless the corpus is
-    pathological), not by the corpus."""
-    out: set = set()
-    for b in blocks:
-        t = (b if isinstance(b, pa.Table)
-             else pa.Table.from_pandas(b, preserve_index=False))
-        if t.num_rows:
-            out.update(t.column("g").to_pylist())
-    return frozenset(out)
-
-
 def dup_spans(sf_dir: str, n: int = 8) -> Dataset:
     """Exact duplicated-substring statistics at fixed n — the bounded
     form of suffix-array substring dedup (Lee et al. 2022, 'Deduplicating
@@ -658,7 +637,7 @@ def dup_spans(sf_dir: str, n: int = 8) -> Dataset:
     Dataflow: per-block distinct (gram, doc) partials -> bucketed exact
     distinct -> combiner count by gram = document frequency (shuffle
     O(distinct grams)); grams with df >= 2 are unioned into a broadcast
-    frozenset by a worker task (bounded by the duplicated-gram count,
+    frozenset by one ``fold`` (bounded by the duplicated-gram count,
     not the corpus); one map-only pass then scores every doc. Output:
     n-gram positions, positions duplicated elsewhere, and the duplicated
     fraction — the signal substring-dedup pipelines cut on.
@@ -682,8 +661,7 @@ def dup_spans(sf_dir: str, n: int = 8) -> Dataset:
         keep = pc.greater_equal(batch.column("df"), 2)
         return pa.table({"g": batch.filter(keep).column("g")})
 
-    ref = _dup_gram_set.remote(
-        *df_tbl.map_batches(dup_only, batch_format="pyarrow").to_arrow_refs())
+    ref = fold(df_tbl.map_batches(dup_only, batch_format="pyarrow"), _gram_set)
 
     def score(batch: pa.Table) -> pa.Table:
         dups = ray.get(ref)
@@ -787,17 +765,11 @@ def budget_sample(sf_dir: str, token_budget: int = 600) -> Dataset:
 
 # ------------------------------------------------------------ KMV sketch
 
-@ray.remote
-def _kmv_merge(k: int, *blocks) -> pa.Table:
+def _kmv_merge(blocks: list[pa.Table], k: int) -> pa.Table:
     """Merge per-block KMV candidate sets: global distinct, sort, keep the
     k smallest, estimate. The merge input is <= k rows per block — tiny by
     construction, the defining property of a mergeable sketch."""
-    parts = []
-    for b in blocks:
-        t = (b if isinstance(b, pa.Table)
-             else pa.Table.from_pandas(b, preserve_index=False))
-        if t.num_rows:
-            parts.append(t.column("v").to_numpy(zero_copy_only=False))
+    parts = [t.column("v").to_numpy(zero_copy_only=False) for t in blocks]
     hs = (np.unique(np.concatenate(parts)) if parts
           else np.empty(0, np.uint64))
     m = min(len(hs), k)
@@ -836,21 +808,15 @@ def approx_distinct(sf_dir: str, k: int = 256) -> Dataset:
         return pa.table({"v": pa.array(hs[:k], pa.uint64())})
 
     cands = docs.map_batches(partial, batch_format="pyarrow")
-    out = ray.get(_kmv_merge.remote(k, *cands.to_arrow_refs()))
-    return ray.data.from_arrow(out)
+    return ray.data.from_arrow(ray.get(fold(cands, _kmv_merge, k)))
 
 
-@ray.remote
-def _hh_candidates(*blocks) -> tuple[tuple, int]:
+def _hh_candidates(blocks: list[pa.Table]) -> tuple[tuple, int]:
     """Union per-block frequent-token candidates + total token count from
-    the pass-1 block refs — worker-task assembly, driver holds the ref."""
+    the pass-1 blocks, in one ``fold``; the driver holds the ref."""
     cands: set = set()
     total = 0
-    for b in blocks:
-        t = (b if isinstance(b, pa.Table)
-             else pa.Table.from_pandas(b, preserve_index=False))
-        if t.num_rows == 0:
-            continue
+    for t in blocks:
         toks = t.column("tok").to_pylist()
         kinds = t.column("kind").to_pylist()
         cnts = t.column("cnt").to_pylist()
@@ -903,7 +869,7 @@ def heavy_hitters(sf_dir: str, k: int = 64) -> Dataset:
         })
 
     pass1 = docs.map_batches(local, batch_format="pyarrow")
-    ref = _hh_candidates.remote(*pass1.to_arrow_refs())
+    ref = fold(pass1, _hh_candidates)
 
     def exact_counts(batch: pa.Table) -> pa.Table:
         cands, _total = ray.get(ref)
@@ -1381,8 +1347,8 @@ def dsir_logratio(sf_dir: str, target_lang: str = "en") -> Dataset:
     the importance weight a resampling pass would gate on.
 
     Same shape as ``doc_logprob``: two combiner token-count aggregates
-    (shuffle O(vocabulary)), both LMs broadcast as dicts from a worker
-    fold, then a MAP-ONLY scoring pass. The oracle mirrors the
+    (shuffle O(vocabulary)), both LMs broadcast as dicts from one
+    ``fold`` each, then a MAP-ONLY scoring pass. The oracle mirrors the
     smoothing expression term for term."""
     docs = read_table(sf_dir, "documents", ["doc_id", "lang", "text"])
 
@@ -1408,8 +1374,8 @@ def dsir_logratio(sf_dir: str, target_lang: str = "en") -> Dataset:
     tgt_counts = grouped_agg(
         docs.map_batches(tok_partial_tgt, batch_format="pyarrow"),
         ["tok"], {"cnt": ("cnt", "sum")})
-    src_ref = _count_map.remote(*src_counts.to_arrow_refs())
-    tgt_ref = _count_map.remote(*tgt_counts.to_arrow_refs())
+    src_ref = fold(src_counts, _count_map)
+    tgt_ref = fold(tgt_counts, _count_map)
 
     def score(batch: pa.Table) -> pa.Table:
         smap, s_total = ray.get(src_ref)

@@ -5,6 +5,10 @@ The obvious spelling, ``task.remote(*ds.to_arrow_refs())``, has two
 traps: on a lazy Dataset ``to_arrow_refs`` runs the plan, then runs it
 again up to a ``limit=1`` operator to probe the schema; and with
 ``preserve_order`` off the blocks arrive in completion order.
+
+A ``fold`` whose ``fn`` returns a tuple can hand back one ref per item
+(``num_returns``), so the driver ``ray.get``s a small item without the
+large one (``joins.attach``: the duplicate key beside the broadcast table).
 """
 
 from __future__ import annotations
@@ -27,12 +31,15 @@ def _block_refs(ds: Dataset) -> list[ray.ObjectRef]:
             for ref, meta in bundle.blocks if meta.num_rows != 0]
 
 
-def fold(ds: Dataset, fn, *args) -> ray.ObjectRef:
+def fold(ds: Dataset, fn, *args, num_returns: int = 1):
     """The ref of ``fn(blocks, *args)`` run in one Ray task: ``blocks``
     are the non-empty blocks of ``ds`` as Arrow tables, in the order of
     ``_block_refs``. The driver holds only refs: rows go from the object
-    store to the task, and the result stays there until ``ray.get``."""
-    return _fold.remote(fn, args, *_block_refs(ds))
+    store to the task, and the result stays there until ``ray.get``.
+    With ``num_returns`` > 1, ``fn`` returns that many items and ``fold``
+    a list of their refs."""
+    return _fold.options(num_returns=num_returns).remote(
+        fn, args, *_block_refs(ds))
 
 
 def each(ds: Dataset, fn, *args) -> list[ray.ObjectRef]:

@@ -31,7 +31,7 @@ from ray.data import Dataset
 
 from chameleon_entity_linking_ray.functions.hashing import mix64
 from chameleon_entity_linking_ray.stages.agg import distinct, grouped_agg
-from chameleon_entity_linking_ray.stages.fold import fold
+from chameleon_entity_linking_ray.stages.fold import each, fold
 from chameleon_entity_linking_ray.stages import joins
 from chameleon_entity_linking_ray.stages.joins import attach, hash_join
 
@@ -120,7 +120,7 @@ def personalized_pagerank(edges: Dataset, seeds: list[int], alpha: float = 0.85,
          dangling·restart) + (1-α)·restart
 
     The driver holds per-round SCALARS only (dangling mass, L1 delta),
-    folded into one per-block partial-sum pass. Returns
+    summed from one ``each`` task per rank block. Returns
     (node:int64, rank:float64)."""
     edges = _normalize_blocks(edges)
     seed_set = sorted({int(s) for s in seeds})
@@ -151,8 +151,8 @@ def personalized_pagerank(edges: Dataset, seeds: list[int], alpha: float = 0.85,
             lambda b: pa.table({"node": b.column("src").cast(pa.int64())}),
             batch_format="pyarrow"),
         keys=["node"], aggs={"deg": (None, "count")}, num_buckets=num_buckets)
-    nd = hash_join(nodes, degree, on=("node",), join_type="left_outer",
-                   num_partitions=num_buckets)
+    nd = attach(nodes, degree, "node", how="left",
+                num_partitions=num_buckets)
 
     def init_rank(batch: pa.Table) -> pa.Table:
         seeds_arr = ray.get(seed_ref)
@@ -176,19 +176,17 @@ def personalized_pagerank(edges: Dataset, seeds: list[int], alpha: float = 0.85,
     ranks = ranks.repartition(rank_blocks).materialize()
 
     def _sums(ds: Dataset) -> tuple[float, float]:
-        """(dangling mass, L1 delta) in ONE pass of per-block partials."""
-        def partial(b: pa.Table) -> pa.Table:
+        """(dangling mass, L1 delta): one ``each`` partial per block of the
+        materialized ``ds``, summed on the driver."""
+        def partial(b: pa.Table) -> tuple[float, float]:
             deg = b.column("deg").to_numpy(zero_copy_only=False)
             rank = b.column("rank").to_numpy(zero_copy_only=False)
-            prev = b.column("prev").to_numpy(zero_copy_only=False) \
-                if "prev" in b.column_names else rank
-            return pa.table({
-                "d": pa.array([float(rank[deg == 0].sum())], pa.float64()),
-                "e": pa.array([float(np.abs(rank - prev).sum())], pa.float64()),
-            })
-        parts = ds.map_batches(partial, batch_format="pyarrow").take_all()
-        return (float(sum(r["d"] for r in parts)),
-                float(sum(r["e"] for r in parts)))
+            prev = b.column("prev").to_numpy(zero_copy_only=False)
+            return (float(rank[deg == 0].sum()),
+                    float(np.abs(rank - prev).sum()))
+        parts = ray.get(each(ds, partial))
+        return (float(sum(d for d, _ in parts)),
+                float(sum(e for _, e in parts)))
 
     dangling, _ = _sums(ranks)
     _EMPTY_PART = {"dst": pd.Series(dtype=np.int64),
@@ -320,18 +318,18 @@ def expand_per_seed(edges: Dataset, seeds: list[int], k: int = 20,
     collect up to k nodes excluding the start, push unvisited neighbors).
 
     This is the T6 broadcast-graph pattern: the adjacency (CSR numpy
-    arrays, built from edge block refs) is ``ray.put`` ONCE and every task
-    walks its own seeds against the shared copy — per-seed traversal is
-    inherently sequential, so the parallelism axis is the SEED SET, which
-    is what the reference loops over line by line.
+    arrays, built in one ``fold`` over the edges) is stored ONCE and
+    every task walks its own seeds against the shared copy — per-seed
+    traversal is inherently sequential, so the parallelism axis is the
+    SEED SET, which is what the reference loops over line by line.
 
     Divergence (documented): neighbors are pushed in sorted-ascending
     order; the reference extends a Python ``set`` whose iteration order is
     implementation-defined. Returns (seed, node, visit_order)."""
     edges = _normalize_blocks(edges)
-    # CSR adjacency built INSIDE a Ray task from the edge block refs — the
-    # blocks never round-trip through the driver heap; the task's return
-    # ref is the broadcast handle every walker reads.
+    # CSR adjacency built in one fold — the blocks never round-trip
+    # through the driver heap; the fold's ref is the broadcast handle
+    # every walker reads.
     adj_ref = fold(edges, _build_csr)
 
     seeds_ds = _nodes_table(list(seeds))
@@ -652,10 +650,10 @@ def edge_overlap(sf_dir: str, num_buckets: int = 32) -> Dataset:
     prediction). Output is one row per edge.
 
     Broadcast-or-shuffle on the EDGE count: up to ``joins.BROADCAST_ROWS``
-    edges the full adjacency is a broadcast CSR assembled from edge
-    block refs in a worker task (O(edges x avg-degree) probes, zero
-    shuffle); beyond that — O(edges) memory per task is a scale-killer
-    on a 100x graph — the oriented wedge-join path takes over:
+    edges the full adjacency is a broadcast CSR assembled in one
+    ``fold`` (O(edges x avg-degree) probes, zero shuffle); beyond that
+    — O(edges) memory per task is a scale-killer on a 100x graph — the
+    oriented wedge-join path takes over:
     cn(a, b) = triangles containing edge (a, b), enumerated by the same
     skew-safe ``_triangles`` dataflow ``triangle_counts`` uses, then
     credited to each triangle's three edges and left-joined back onto
@@ -778,20 +776,16 @@ def _edge_overlap_join(edges: Dataset, cand: Dataset,
 def _edge_fingerprint(edges: Dataset) -> str:
     """Order-independent multiset fingerprint of an edge Dataset (sum of
     per-row mixed hashes mod 2^64, hex) — the per-round lineage stamp in
-    loop checkpoints."""
-    def partial(batch: pa.Table) -> pa.Table:
+    loop checkpoints; one ``each`` partial per block."""
+    def partial(batch: pa.Table) -> int:
         s = batch.column("src").to_numpy(zero_copy_only=False) \
             .astype(np.uint64)
         d = batch.column("dst").to_numpy(zero_copy_only=False) \
             .astype(np.uint64)
         h = mix64(s ^ mix64(d, seed=101), seed=103)
-        return pa.table({"h": pa.array([int(h.sum(dtype=np.uint64))],
-                                       pa.uint64())})
+        return int(h.sum(dtype=np.uint64))
 
-    total = 0
-    for row in edges.map_batches(partial, batch_format="pyarrow").take_all():
-        total = (total + int(row["h"])) & ((1 << 64) - 1)
-    return f"{total:016x}"
+    return f"{sum(ray.get(each(edges, partial))) & ((1 << 64) - 1):016x}"
 
 
 def kcore_copurchase(sf_dir: str, k: int = 68,

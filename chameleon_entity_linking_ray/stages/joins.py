@@ -4,7 +4,7 @@ outer and multi-key joins.
 The reference does every join as a driver-side dict lookup (SURVEY.md
 §2.4). ``attach`` is that lookup as one primitive: ``ds`` rows against a
 keyed ``table`` (inner, left, semi or anti). It counts the table once; up
-to ``BROADCAST_ROWS`` rows the table is sorted by key in a worker task and
+to ``BROADCAST_ROWS`` rows the table is sorted by key in one ``fold`` and
 broadcast (the driver holds only object refs, never the rows), above it
 both sides shuffle on the key with ``stages.shuffle.bucketed``. Both paths
 run the same probe kernel (``_probe``) — per batch, or per bucket where
@@ -30,8 +30,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 from ray.data import Dataset
-from ray.data.block import BlockAccessor
 
+from chameleon_entity_linking_ray.stages.fold import fold
 from chameleon_entity_linking_ray.stages.shuffle import bucketed
 
 # the most table rows ``attach`` broadcasts; above it both sides shuffle
@@ -152,7 +152,7 @@ def attach(ds: Dataset, table: Dataset, on: str, right_on: str | None = None,
     with ``ds`` columns get ``_r``; the table's key column is dropped.
 
     ``table`` is materialized and counted once. Up to ``BROADCAST_ROWS``
-    rows it is sorted by key in a worker task and broadcast once, and
+    rows it is sorted by key in one ``fold`` and broadcast once, and
     every ``ds`` batch is probed in place (a map: ``ds`` keeps its
     blocks). Above that, both sides are shuffled on the key into
     ``num_partitions`` buckets and each bucket is probed.
@@ -165,7 +165,9 @@ def attach(ds: Dataset, table: Dataset, on: str, right_on: str | None = None,
         table = table.select_columns([right_on])
     table = table.materialize()
     if table.count() <= BROADCAST_ROWS:
-        ref, dup_ref = _key_sorted.remote(right_on, *table.to_arrow_refs())
+        schema = table.schema()
+        ref, dup_ref = fold(table, _key_sorted, right_on,
+                            schema and schema.base_schema, num_returns=2)
         _check_unique(ray.get(dup_ref), right_on, how)
 
         def probe(batch: pa.Table) -> pa.Table:
@@ -204,15 +206,17 @@ def _sort_by_key(t: pa.Table, key: str) -> tuple[tuple, object]:
             t.column(key)[int(dup[0])].as_py() if len(dup) else None)
 
 
-@ray.remote(num_returns=2)
-def _key_sorted(key: str, *blocks) -> tuple[tuple, object]:
-    """``_sort_by_key`` over a table's blocks, run in a worker: the driver
-    only ever holds the refs. Blocks without the key column (empty shuffle
-    partitions) are skipped."""
-    tables = [BlockAccessor.for_block(b).to_arrow() for b in blocks]
-    tables = [t for t in tables if key in t.column_names]
-    t = pa.concat_tables(tables, promote_options="permissive") if tables \
-        else pa.table({key: pa.array([], pa.null())})
+def _key_sorted(blocks: list[pa.Table], key: str,
+                schema) -> tuple[tuple, object]:
+    """``_sort_by_key`` over a table's blocks, folded in a worker: the
+    driver only ever holds the refs. A table without rows takes its value
+    columns' types from ``schema`` (its Arrow schema, if it has one)."""
+    if blocks:
+        t = pa.concat_tables(blocks, promote_options="permissive")
+    elif isinstance(schema, pa.Schema):
+        t = schema.empty_table()
+    else:
+        t = pa.table({key: pa.array([], pa.null())})
     return _sort_by_key(t, key)
 
 

@@ -1,8 +1,12 @@
 """``stages.fold``: one task over every block (``fold``) or one per block
 (``each``), the input executed once; the output-order seam check built on
-``each``; the flagship's execution count."""
+``each``; the flagship's execution count; the corpus and curation
+queries whose reductions run on ``fold``."""
 
+import ast
+import sys
 import time
+from pathlib import Path
 
 import pandas as pd
 import pyarrow as pa
@@ -11,6 +15,7 @@ import ray
 import ray.data as rd
 from ray.data._internal.execution.streaming_executor import StreamingExecutor
 
+import chameleon_entity_linking_ray
 from chameleon_entity_linking_ray.config import LinkageConfig
 from chameleon_entity_linking_ray.pipelines.linkage import (
     _ends,
@@ -21,6 +26,11 @@ from chameleon_entity_linking_ray.pipelines.linkage import (
 from chameleon_entity_linking_ray.stages.agg import grouped_agg
 from chameleon_entity_linking_ray.stages.fold import each, fold
 from chameleon_entity_linking_ray.testing.synth import make_transcripts
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+from check_oracle import run_sweep  # noqa: E402
+
+SF = "/root/testdata/sf0.001"
 
 
 @pytest.fixture
@@ -75,6 +85,18 @@ class TestFold:
 
         assert ray.get(fold(ds, rows)) == [[{"k": 1}, {"k": 2}]] * 2
         assert ray.get(fold(empty, rows)) == []
+
+    def test_num_returns_gives_one_ref_per_item(self, plans):
+        ds = rd.from_arrow(pa.table({"k": [3, 1, 2, 5]})).repartition(2)
+
+        def count_and_sort(blocks):
+            return (sum(b.num_rows for b in blocks),
+                    pa.concat_tables(blocks).sort_by("k"))
+
+        n_ref, table_ref = fold(ds, count_and_sort, num_returns=2)
+        assert ray.get(n_ref) == 4
+        assert ray.get(table_ref).column("k").to_pylist() == [1, 2, 3, 5]
+        assert len(plans) == 1
 
     def test_logical_block_order_with_preserve_order_off(self):
         def slow_low(batch: pa.Table) -> pa.Table:
@@ -176,3 +198,46 @@ def test_flagship_job_runs_six_executions(plans, tmp_path):
     out.write_parquet(str(tmp_path))
     assert len(plans) <= 6, [" <- ".join(p) for p in plans]
     assert not [p for p in plans if any("limit" in n.lower() for n in p)]
+
+
+# each ran a fold task over ``to_arrow_refs()``, which re-ran its input
+# up to a ``limit=1`` operator for the schema
+FOLD_QUERIES = ["doc_logprob", "dup_spans", "rerank_bm25", "dsir_logratio",
+                "decontaminate", "approx_distinct", "heavy_hitters",
+                "fs_weights", "blocking_stats", "embedding_near_dups",
+                "embedding_near_dups_lsh"]
+
+
+@pytest.mark.parametrize("query", FOLD_QUERIES)
+def test_fold_query_runs_no_schema_probe(plans, query):
+    """The query matches its DuckDB oracle, and no execution of it ends
+    in a ``limit`` operator."""
+    assert run_sweep(SF, only={query}) == []
+    assert plans
+    assert not [p for p in plans if any("limit" in n.lower() for n in p)], \
+        [" <- ".join(p) for p in plans]
+
+
+def test_no_hand_written_fold_tasks():
+    """No package module defines a Ray task or calls ``to_arrow_refs``,
+    except ``stages/fold.py`` and the sorted-neighbourhood chain of
+    ``stages/blocking.py`` (block to block, not a fold)."""
+    root = Path(chameleon_entity_linking_ray.__file__).parent
+    allowed = {"stages/blocking.py": {"_snm_tail", "_snm_window_pairs",
+                                      "sorted_neighborhood_pairs"}}
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        if rel == "stages/fold.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            name = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and (
+                        node.attr == "to_arrow_refs"
+                        or (node.attr == "remote"
+                            and isinstance(node.value, ast.Name)
+                            and node.value.id == "ray")) \
+                        and name not in allowed.get(rel, ()):
+                    found.append(f"{rel}:{node.lineno} in {name}")
+    assert found == []

@@ -102,8 +102,8 @@ class TestPpr:
 class TestNoDriverMaterialization:
     """The distributed BFS/PPR must never pull a node/rank table to the
     driver: with every bulk driver-materialization API patched to raise,
-    both ops must still complete (per-block SCALAR partials via take_all
-    are the one allowed driver touch)."""
+    both ops must still complete (per-block SCALAR partials from ``each``
+    tasks are the one allowed driver touch)."""
 
     def _patched(self, monkeypatch, with_take_all: bool):
         import ray.data as rdm
@@ -128,9 +128,9 @@ class TestNoDriverMaterialization:
 
     def test_ppr_distributed(self, chain_edges, monkeypatch):
         with monkeypatch.context() as m:
-            # PPR's one allowed driver touch is take_all over per-block
-            # SCALAR partials (dangling/delta sums)
-            self._patched(m, with_take_all=False)
+            # PPR's one allowed driver touch is the per-block SCALAR
+            # partials (dangling/delta sums) of its ``each`` tasks
+            self._patched(m, with_take_all=True)
             ranks = personalized_pagerank(chain_edges, [0], iters=5).materialize()
         df = ranks.to_pandas()
         assert set(df["node"]) == {0, 1, 2, 3, 4, 5, 6}
@@ -165,6 +165,22 @@ class TestRunfile:
 
 
 class TestKCore:
+    def test_edge_fingerprint_unchanged(self):
+        """Checkpoint manifests keep their lineage stamps: the value was
+        frozen from the map + take_all version, and the block split does
+        not move it."""
+        import pyarrow as pa
+        from chameleon_entity_linking_ray.stages.graph import _edge_fingerprint
+
+        edges = pa.table({
+            "src": pa.array([(i * 7919) % 1000 for i in range(500)],
+                            pa.int64()),
+            "dst": pa.array([(i * 104729 + 13) % 997 for i in range(500)],
+                            pa.int64())})
+        for n_blocks in (1, 3, 7):
+            ds = rd.from_arrow(edges).repartition(n_blocks).materialize()
+            assert _edge_fingerprint(ds) == "6dd48bd0be7055f6"
+
     def test_fixpoint_matches_python_simulation(self):
         import collections
 

@@ -8,7 +8,7 @@ A from-scratch rebuild of the *semantics* of ``sadjadeb/chameleon_entity_linking
       -> groupby(norm) -> surface vocabulary    # shuffle 1
       -> map_batches(minhash + LSH bands,       # stateless numpy kernels
                      token blocks)
-      -> block_pairs: map_groups per hash(key)  # shuffle 2, hot blocks
+      -> block_pairs: bucketed on the key       # shuffle 2, hot blocks
          bucket, then per pair-hash bucket      #   windowed; shuffle 3
          (lowest shared key kept)               #   pair dedup (Arrow)
       -> map_batches(score_batch)               # one stateless task per pair

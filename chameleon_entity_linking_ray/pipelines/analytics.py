@@ -34,6 +34,7 @@ from chameleon_entity_linking_ray.stages.agg import (
 )
 from chameleon_entity_linking_ray.stages.fold import fold
 from chameleon_entity_linking_ray.stages.joins import attach
+from chameleon_entity_linking_ray.stages.shuffle import bucketed, run_cumsum
 
 
 def read_table(sf_dir: str, name: str, columns: list[str] | None = None) -> Dataset:
@@ -55,6 +56,11 @@ def _cents(col) -> pa.Array:
     no round-half tie, so results agree everywhere (ROUND diverges between
     numpy half-even and SQL half-away exactly at representable .5 cents)."""
     return pc.cast(pc.trunc(pc.multiply(col, 100.0)), pa.int64())
+
+
+def _sorted(t: pa.Table, *cols: str) -> pa.Table:
+    """``t`` stably sorted by ``cols``, each ascending."""
+    return t.sort_by([(c, "ascending") for c in cols])
 
 
 # --- Q: pricing summary (reference A5-style global aggregate over measures) ---
@@ -262,8 +268,8 @@ def asof_join_events_orders(sf_dir: str, num_buckets: int = 32) -> Dataset:
     canonical "enrich a fact stream with the most recent dimension state"
     operator that plain equality joins can't express.
 
-    Shape: both sides are bucketed by hash(user key) and union'd into ONE
-    sort-shuffle (schema-pinned tagged union — no driver materialize, no
+    Shape: both sides are union'd into ONE ``bucketed`` shuffle on the
+    user key (schema-pinned tagged union — no driver materialize, no
     per-call schema probe); each bucket group runs a vectorized
     ``pd.merge_asof`` (two mergesorts + one linear backward scan). Orders
     are pre-deduped to one row per (custkey, orderdate) with the MIN
@@ -275,7 +281,6 @@ def asof_join_events_orders(sf_dir: str, num_buckets: int = 32) -> Dataset:
     Timestamps are emitted as epoch seconds (BIGINT) so the oracle hash
     compares integers, not timezone-normalized timestamp renderings.
     """
-    from chameleon_entity_linking_ray.functions.hashing import mix64
 
     def _epoch_s(col: pa.ChunkedArray | pa.Array) -> pa.ChunkedArray:
         # unit-aware epoch seconds (fixtures store ns, testdata us)
@@ -303,14 +308,12 @@ def asof_join_events_orders(sf_dir: str, num_buckets: int = 32) -> Dataset:
         ("_side", pa.int8()), ("user_id", pa.int64()),
         ("ts_s", pa.int64()), ("event_id", pa.int64()),
         ("event_type", pa.string()), ("matched_order", pa.int64()),
-        ("bucket", pa.int32()),
     ])
-
-    def _bucket(uid: pa.Array) -> pa.Array:
-        u = uid.to_numpy(zero_copy_only=False)
-        return pa.array((mix64(u.astype(np.uint64), seed=29)
-                         % np.uint64(num_buckets)).astype(np.int32),
-                        pa.int32())
+    out = pa.schema([
+        ("event_id", pa.int64()), ("user_id", pa.int64()),
+        ("ts_s", pa.int64()), ("event_type", pa.string()),
+        ("matched_order", pa.int64()), ("order_ts_s", pa.int64()),
+    ])
 
     def tag_events(b: pa.Table) -> pa.Table:
         n = b.num_rows
@@ -322,7 +325,6 @@ def asof_join_events_orders(sf_dir: str, num_buckets: int = 32) -> Dataset:
             "event_id": b.column("event_id").cast(pa.int64()),
             "event_type": b.column("event_type").cast(pa.string()),
             "matched_order": pa.nulls(n, pa.int64()),
-            "bucket": _bucket(uid),
         }, schema=_SCHEMA)
 
     def tag_orders(b: pa.Table) -> pa.Table:
@@ -335,21 +337,17 @@ def asof_join_events_orders(sf_dir: str, num_buckets: int = 32) -> Dataset:
             "event_id": pa.nulls(n, pa.int64()),
             "event_type": pa.nulls(n, pa.string()),
             "matched_order": b.column("matched_order").cast(pa.int64()),
-            "bucket": _bucket(uid),
         }, schema=_SCHEMA)
 
     tagged = ev.map_batches(tag_events, batch_format="pyarrow").union(
         orders.map_batches(tag_orders, batch_format="pyarrow"))
 
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
+    def merge(t: pa.Table) -> pa.Table:
+        g = t.to_pandas()
         left = g[g["_side"] == 0]
         right = g[g["_side"] == 1]
-        out_cols = ["event_id", "user_id", "ts_s", "event_type",
-                    "matched_order", "order_ts_s"]
         if left.empty or right.empty:
-            return pd.DataFrame({c: pd.Series(
-                dtype=(object if c == "event_type" else np.int64))
-                for c in out_cols})
+            return out.empty_table()
         m = pd.merge_asof(
             left.sort_values("ts_s", kind="mergesort")
                 .drop(columns=["matched_order"]),
@@ -365,9 +363,9 @@ def asof_join_events_orders(sf_dir: str, num_buckets: int = 32) -> Dataset:
         for c in ("event_id", "user_id", "ts_s", "matched_order",
                   "order_ts_s"):
             m[c] = m[c].astype(np.int64)
-        return m[out_cols]
+        return pa.Table.from_pandas(m[out.names], out, preserve_index=False)
 
-    return tagged.groupby("bucket").map_groups(merge, batch_format="pandas")
+    return bucketed(tagged, ["user_id"], merge, num_buckets)
 
 
 def asof_next_event_after_order(sf_dir: str,
@@ -376,13 +374,11 @@ def asof_next_event_after_order(sf_dir: str,
     event at-or-after the order date — the "next interaction after
     purchase" lookup, the mirrored comparator of
     ``asof_join_events_orders`` (DuckDB ``ASOF JOIN ... ON l.ts <=
-    r.ts``). Same shape: both sides bucketed by hash(user), one
-    schema-pinned tagged-union sort-shuffle, per-bucket vectorized
+    r.ts``). Same shape: one schema-pinned tagged-union ``bucketed``
+    shuffle on user, per-bucket vectorized
     ``pd.merge_asof(direction="forward")``. Events are pre-deduped to
     the MIN event_id per (user, second) so ties are deterministic on
     both engines."""
-    from chameleon_entity_linking_ray.functions.hashing import mix64
-
     orders = read_table(sf_dir, "orders",
                         ["o_orderkey", "o_custkey", "o_orderdate"])
     ev = read_table(sf_dir, "events", ["event_id", "ts", "user_id"])
@@ -399,14 +395,10 @@ def asof_next_event_after_order(sf_dir: str,
     _SCHEMA = pa.schema([
         ("_side", pa.int8()), ("user_id", pa.int64()),
         ("ts_s", pa.int64()), ("o_orderkey", pa.int64()),
-        ("next_event", pa.int64()), ("bucket", pa.int32()),
+        ("next_event", pa.int64()),
     ])
-
-    def _bucket(uid: pa.Array) -> pa.Array:
-        u = uid.to_numpy(zero_copy_only=False)
-        return pa.array((mix64(u.astype(np.uint64), seed=67)
-                         % np.uint64(num_buckets)).astype(np.int32),
-                        pa.int32())
+    out = pa.schema([(c, pa.int64()) for c in (
+        "o_orderkey", "user_id", "order_ts_s", "next_event", "event_ts_s")])
 
     def tag_orders(b: pa.Table) -> pa.Table:
         n = b.num_rows
@@ -417,7 +409,6 @@ def asof_next_event_after_order(sf_dir: str,
             "ts_s": _epoch_seconds(b.column("o_orderdate")),
             "o_orderkey": b.column("o_orderkey").cast(pa.int64()),
             "next_event": pa.nulls(n, pa.int64()),
-            "bucket": _bucket(uid),
         }, schema=_SCHEMA)
 
     def tag_events(b: pa.Table) -> pa.Table:
@@ -429,21 +420,17 @@ def asof_next_event_after_order(sf_dir: str,
             "ts_s": b.column("event_ts_s").cast(pa.int64()),
             "o_orderkey": pa.nulls(n, pa.int64()),
             "next_event": b.column("next_event").cast(pa.int64()),
-            "bucket": _bucket(uid),
         }, schema=_SCHEMA)
 
     tagged = orders.map_batches(tag_orders, batch_format="pyarrow").union(
         ev.map_batches(tag_events, batch_format="pyarrow"))
 
-    out_cols = ["o_orderkey", "user_id", "order_ts_s", "next_event",
-                "event_ts_s"]
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
+    def merge(t: pa.Table) -> pa.Table:
+        g = t.to_pandas()
         left = g[g["_side"] == 0]
         right = g[g["_side"] == 1]
         if left.empty or right.empty:
-            return pd.DataFrame({c: pd.Series(dtype=np.int64)
-                                 for c in out_cols})
+            return out.empty_table()
         m = pd.merge_asof(
             left.sort_values("ts_s", kind="mergesort")
                 .drop(columns=["next_event"])
@@ -454,17 +441,17 @@ def asof_next_event_after_order(sf_dir: str,
             left_on="order_ts_s", right_on="event_ts_s", by="user_id",
             direction="forward", allow_exact_matches=True)
         m = m[m["next_event"].notna()].copy()
-        for c in out_cols:
+        for c in out.names:
             m[c] = m[c].astype(np.int64)
-        return m[out_cols]
+        return pa.Table.from_pandas(m[out.names], out, preserve_index=False)
 
-    return tagged.groupby("bucket").map_groups(merge, batch_format="pandas")
+    return bucketed(tagged, ["user_id"], merge, num_buckets)
 
 
 def sessionize_events(sf_dir: str, gap_s: int = 1800,
                       num_buckets: int = 32) -> Dataset:
     """Gap-based session windows per user — the streaming "session window"
-    aggregate expressed as one hash-bucket shuffle + a vectorized
+    aggregate expressed as one ``bucketed`` shuffle + a vectorized
     per-bucket kernel (no per-event Python, no global sort).
 
     A session is a maximal run of a user's events where consecutive gaps
@@ -475,8 +462,6 @@ def sessionize_events(sf_dir: str, gap_s: int = 1800,
     Partitioning assumption: one user's events fit a bucket group
     (hash-balanced over users; raise num_buckets at scale).
     """
-    from chameleon_entity_linking_ray.functions.hashing import mix64
-
     ev = read_table(sf_dir, "events", ["user_id", "ts"])
 
     def prep(b: pa.Table) -> pa.Table:
@@ -484,26 +469,16 @@ def sessionize_events(sf_dir: str, gap_s: int = 1800,
         unit = col.type.unit if isinstance(col.type, pa.TimestampType) else "s"
         div = {"s": 1, "ms": 1_000, "us": 1_000_000,
                "ns": 1_000_000_000}[unit]
-        uid = b.column("user_id").cast(pa.int64()).combine_chunks()
-        u = uid.to_numpy(zero_copy_only=False)
         return pa.table({
-            "user_id": uid,
+            "user_id": b.column("user_id").cast(pa.int64()),
             "ts_s": pc.divide(col.cast(pa.int64()), div),
-            "bucket": pa.array((mix64(u.astype(np.uint64), seed=37)
-                                % np.uint64(num_buckets)).astype(np.int32),
-                               pa.int32()),
         })
 
-    def sessions(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts_s"], kind="mergesort")
+    def sessions(g: pa.Table) -> pa.Table:
+        g = _sorted(g, "user_id", "ts_s")
         uid = g["user_id"].to_numpy()
         ts = g["ts_s"].to_numpy()
         n = len(g)
-        if n == 0:
-            return pd.DataFrame({c: pd.Series(dtype=np.int64) for c in
-                                 ("user_id", "session_idx",
-                                  "session_start_s", "n_events",
-                                  "duration_s")})
         new_user = np.r_[True, uid[1:] != uid[:-1]]
         new_sess = new_user | np.r_[False, (ts[1:] - ts[:-1]) > gap_s]
         sess_id = np.cumsum(new_sess) - 1          # global within bucket
@@ -517,7 +492,7 @@ def sessionize_events(sf_dir: str, gap_s: int = 1800,
         per_user_base = np.repeat(sess_of_user_first,
                                   np.diff(np.r_[sess_of_user_first,
                                                 sess_id[-1] + 1]))
-        return pd.DataFrame({
+        return pa.table({
             "user_id": uid[starts],
             "session_idx": (np.arange(len(starts)) - per_user_base + 1)
             .astype(np.int64),
@@ -526,8 +501,8 @@ def sessionize_events(sf_dir: str, gap_s: int = 1800,
             "duration_s": (ts[ends] - ts[starts]).astype(np.int64),
         })
 
-    return ev.map_batches(prep, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(sessions, batch_format="pandas")
+    return bucketed(ev.map_batches(prep, batch_format="pyarrow"),
+                    ["user_id"], sessions, num_buckets)
 
 
 def _epoch_seconds(col: pa.ChunkedArray | pa.Array) -> pa.ChunkedArray:
@@ -539,24 +514,16 @@ def _epoch_seconds(col: pa.ChunkedArray | pa.Array) -> pa.ChunkedArray:
     return pc.divide(col.cast(pa.int64()), div)
 
 
-def _user_ts_prep(num_buckets: int, seed: int, extra):
+def _user_ts_prep(extra):
     """Shared prep for the per-user time-window operators: project events
-    to (user_id:int64, ts_s:int64, bucket:int32, *extra) with bucket =
-    hash(user) — one shuffle key reused by every window op."""
-    from chameleon_entity_linking_ray.functions.hashing import mix64
+    to (user_id:int64, ts_s:int64, *extra), ready for a ``bucketed``
+    shuffle on ``user_id`` — the one key every window op uses."""
 
     def prep(b: pa.Table) -> pa.Table:
-        uid = b.column("user_id").cast(pa.int64()).combine_chunks()
-        u = uid.to_numpy(zero_copy_only=False)
-        cols = {
-            "user_id": uid,
+        return pa.table({
+            "user_id": b.column("user_id").cast(pa.int64()),
             "ts_s": _epoch_seconds(b.column("ts")),
-            "bucket": pa.array((mix64(u.astype(np.uint64), seed=seed)
-                                % np.uint64(num_buckets)).astype(np.int32),
-                               pa.int32()),
-        }
-        cols.update(extra(b))
-        return pa.table(cols)
+            **extra(b)})
 
     return prep
 
@@ -569,7 +536,7 @@ def rolling_user_window(sf_dir: str, window_s: int = 7 * 86400,
     ORDER BY ts RANGE BETWEEN w PRECEDING AND CURRENT ROW)``, an operator
     Ray Data has no native form for.
 
-    Shape: ONE hash-bucket shuffle on user (the same key every window op
+    Shape: ONE ``bucketed`` shuffle on user (the same key every window op
     here uses), then a fully vectorized per-bucket kernel: sort by
     (user, ts), offset each user's timestamps onto a disjoint int64 range
     (rank * span), and resolve every row's window with two
@@ -584,18 +551,13 @@ def rolling_user_window(sf_dir: str, window_s: int = 7 * 86400,
     raise num_buckets at scale (buckets are hash-balanced over users).
     """
     ev = read_table(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
-    prep = _user_ts_prep(num_buckets, seed=41, extra=lambda b: {
+    prep = _user_ts_prep(extra=lambda b: {
         "event_id": b.column("event_id").cast(pa.int64()),
         "cents": _cents(b.column("value")),
     })
 
-    def roll(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts_s"], kind="mergesort")
-        n = len(g)
-        if n == 0:
-            return pd.DataFrame({c: pd.Series(dtype=np.int64) for c in
-                                 ("event_id", "user_id", "ts_s",
-                                  "w_sum_c", "w_count")})
+    def roll(g: pa.Table) -> pa.Table:
+        g = _sorted(g, "user_id", "ts_s")
         uid = g["user_id"].to_numpy()
         ts = g["ts_s"].to_numpy()
         cents = g["cents"].to_numpy()
@@ -609,16 +571,16 @@ def rolling_user_window(sf_dir: str, window_s: int = 7 * 86400,
         hi = np.searchsorted(combined, combined, side="right")
         lo = np.searchsorted(combined, combined - window_s, side="left")
         cs = np.concatenate(([0], np.cumsum(cents)))
-        return pd.DataFrame({
-            "event_id": g["event_id"].to_numpy(),
+        return pa.table({
+            "event_id": g["event_id"],
             "user_id": uid,
             "ts_s": ts,
             "w_sum_c": (cs[hi] - cs[lo]).astype(np.int64),
             "w_count": (hi - lo).astype(np.int64),
         })
 
-    return ev.map_batches(prep, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(roll, batch_format="pandas")
+    return bucketed(ev.map_batches(prep, batch_format="pyarrow"),
+                    ["user_id"], roll, num_buckets)
 
 
 def event_pairs_within(sf_dir: str, window_s: int = 21600,
@@ -628,7 +590,7 @@ def event_pairs_within(sf_dir: str, window_s: int = 21600,
     inequality band on time, the join class (IEJoin / interval join) that
     equality-keyed shuffles can't express.
 
-    Shape: one hash-bucket shuffle on user, then a vectorized per-bucket
+    Shape: one ``bucketed`` shuffle on user, then a vectorized per-bucket
     kernel: sort by (user, ts, event_id), offset users onto disjoint
     ranges, one ``np.searchsorted`` for every row's band end, and a
     ragged-arange emission of (anchor, partner) index pairs — zero
@@ -642,17 +604,13 @@ def event_pairs_within(sf_dir: str, window_s: int = 21600,
     linear in emitted pairs, never all-pairs.
     """
     ev = read_table(sf_dir, "events", ["event_id", "ts", "user_id"])
-    prep = _user_ts_prep(num_buckets, seed=43, extra=lambda b: {
+    prep = _user_ts_prep(extra=lambda b: {
         "event_id": b.column("event_id").cast(pa.int64()),
     })
 
-    def pairs(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts_s", "event_id"], kind="mergesort")
+    def pairs(g: pa.Table) -> pa.Table:
+        g = _sorted(g, "user_id", "ts_s", "event_id")
         n = len(g)
-        out_empty = pd.DataFrame({c: pd.Series(dtype=np.int64) for c in
-                                  ("event_a", "event_b", "gap_s")})
-        if n == 0:
-            return out_empty
         uid = g["user_id"].to_numpy()
         ts = g["ts_s"].to_numpy()
         eid = g["event_id"].to_numpy()
@@ -664,21 +622,19 @@ def event_pairs_within(sf_dir: str, window_s: int = 21600,
         idx = np.arange(n)
         counts = hi - idx - 1          # partners strictly after the anchor
         total = int(counts.sum())
-        if total == 0:
-            return out_empty
         idx_a = np.repeat(idx, counts)
         # ragged arange: for anchor i the partners are i+1 .. hi[i]-1
         starts = np.cumsum(counts) - counts
         idx_b = np.arange(total) - np.repeat(starts, counts) \
             + np.repeat(idx + 1, counts)
-        return pd.DataFrame({
+        return pa.table({
             "event_a": eid[idx_a],
             "event_b": eid[idx_b],
             "gap_s": (ts[idx_b] - ts[idx_a]).astype(np.int64),
         })
 
-    return ev.map_batches(prep, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(pairs, batch_format="pandas")
+    return bucketed(ev.map_batches(prep, batch_format="pyarrow"),
+                    ["user_id"], pairs, num_buckets)
 
 
 def flag_corr(sf_dir: str) -> Dataset:
@@ -834,42 +790,30 @@ def user_running_total(sf_dir: str, num_buckets: int = 32) -> Dataset:
     """Cumulative running total per user (SQL ``SUM(x) OVER (PARTITION
     BY user ORDER BY ts, event_id ROWS UNBOUNDED PRECEDING)``) — the
     prefix-sum window that closes out the window family (LAG, trailing
-    ROWS, RANGE, rank/CDF, sessions). One hash-bucket shuffle on user,
+    ROWS, RANGE, rank/CDF, sessions). One ``bucketed`` shuffle on user,
     then a vectorized segmented cumsum per bucket; sums are exact
     integer cents and the (ts_s, event_id) order key is unique, so the
     output is deterministic under any partitioning."""
     ev = read_table(sf_dir, "events", ["event_id", "ts", "user_id",
                                        "value"])
-    prep = _user_ts_prep(num_buckets, seed=71, extra=lambda b: {
+    prep = _user_ts_prep(extra=lambda b: {
         "event_id": b.column("event_id").cast(pa.int64()),
         "cents": _cents(b.column("value")),
     })
 
-    def run(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts_s", "event_id"], kind="mergesort")
-        n = len(g)
-        if n == 0:
-            return pd.DataFrame({c: pd.Series(dtype=np.int64) for c in
-                                 ("event_id", "user_id", "ts_s",
-                                  "running_c", "row_in_user")})
+    def run(g: pa.Table) -> pa.Table:
+        g = _sorted(g, "user_id", "ts_s", "event_id")
         uid = g["user_id"].to_numpy()
-        cents = g["cents"].to_numpy()
-        idx = np.arange(n)
-        new_user = np.r_[True, uid[1:] != uid[:-1]]
-        starts = idx[new_user]
-        base_idx = np.repeat(starts, np.diff(np.r_[starts, n]))
-        cs = np.cumsum(cents)
-        seg_cs = cs - cs[base_idx] + cents[base_idx]
-        return pd.DataFrame({
-            "event_id": g["event_id"].to_numpy(),
+        return pa.table({
+            "event_id": g["event_id"],
             "user_id": uid,
-            "ts_s": g["ts_s"].to_numpy(),
-            "running_c": seg_cs.astype(np.int64),
-            "row_in_user": (idx - base_idx + 1).astype(np.int64),
+            "ts_s": g["ts_s"],
+            "running_c": run_cumsum(uid, g["cents"].to_numpy()),
+            "row_in_user": run_cumsum(uid, np.ones(len(g), np.int64)),
         })
 
-    return ev.map_batches(prep, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(run, batch_format="pandas")
+    return bucketed(ev.map_batches(prep, batch_format="pyarrow"),
+                    ["user_id"], run, num_buckets)
 
 
 def nation_balance_full(sf_dir: str) -> Dataset:
@@ -907,49 +851,39 @@ def moving_avg_user(sf_dir: str, win: int = 3,
     ``win`` events (SQL ``ROWS BETWEEN win-1 PRECEDING AND CURRENT
     ROW``) ordered by the unique (ts_s, event_id) key — the row-counted
     sibling of ``rolling_user_window``'s RANGE windows. Same one
-    hash-bucket shuffle on user; the per-bucket kernel is a prefix-sum
+    ``bucketed`` shuffle on user; the per-bucket kernel is a prefix-sum
     difference with a clamped window start — fully vectorized. Sums are
     integer cents so the result is exact; the avg is emitted as the
     IEEE division of the two exact ints (bit-identical cross-engine)."""
     ev = read_table(sf_dir, "events", ["event_id", "ts", "user_id",
                                        "value"])
-    prep = _user_ts_prep(num_buckets, seed=61, extra=lambda b: {
+    prep = _user_ts_prep(extra=lambda b: {
         "event_id": b.column("event_id").cast(pa.int64()),
         "cents": _cents(b.column("value")),
     })
 
-    def roll(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts_s", "event_id"], kind="mergesort")
+    def roll(g: pa.Table) -> pa.Table:
+        g = _sorted(g, "user_id", "ts_s", "event_id")
         n = len(g)
-        if n == 0:
-            return pd.DataFrame({
-                "event_id": pd.Series(dtype=np.int64),
-                "user_id": pd.Series(dtype=np.int64),
-                "ts_s": pd.Series(dtype=np.int64),
-                "ma_sum_c": pd.Series(dtype=np.int64),
-                "ma_count": pd.Series(dtype=np.int64),
-                "ma_avg_c": pd.Series(dtype=np.float64)})
         uid = g["user_id"].to_numpy()
         cents = g["cents"].to_numpy()
         idx = np.arange(n)
-        new_user = np.r_[True, uid[1:] != uid[:-1]]
-        user_start = idx[new_user]
-        pos = idx - np.repeat(user_start, np.diff(np.r_[user_start, n]))
+        pos = run_cumsum(uid, np.ones(n, np.int64)) - 1
         lo = idx - np.minimum(pos, win - 1)
         cs = np.concatenate(([0], np.cumsum(cents)))
         s = (cs[idx + 1] - cs[lo]).astype(np.int64)
         c = (idx - lo + 1).astype(np.int64)
-        return pd.DataFrame({
-            "event_id": g["event_id"].to_numpy(),
+        return pa.table({
+            "event_id": g["event_id"],
             "user_id": uid,
-            "ts_s": g["ts_s"].to_numpy(),
+            "ts_s": g["ts_s"],
             "ma_sum_c": s,
             "ma_count": c,
             "ma_avg_c": s.astype(np.float64) / c,
         })
 
-    return ev.map_batches(prep, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(roll, batch_format="pandas")
+    return bucketed(ev.map_batches(prep, batch_format="pyarrow"),
+                    ["user_id"], roll, num_buckets)
 
 
 def rollup_revenue(sf_dir: str) -> Dataset:
@@ -1115,23 +1049,20 @@ def _window_counts(withc: Dataset, num_buckets: int = 32,
         - sub["dv"].to_numpy(np.int64)
     off_ref = ray.put((rbs, below_rows, below_dv))
 
-    def bucket_prefix(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
-            return pd.DataFrame({c: pd.Series(dtype=np.int64) for c in
-                                 ("total_c", "w_lt", "w_le", "w_dlt")})
+    def bucket_prefix(g: pa.Table) -> pa.Table:
+        # several ranges per bucket: each row's offsets come from its
+        # range's subtotals plus the prefix inside its range
         rbs_s, brows, bdv = ray.get(off_ref)
-        g = g.sort_values("total_c", kind="mergesort")
-        ns = g["n"].to_numpy(np.int64)
-        i = int(np.searchsorted(rbs_s, int(g["rbucket"].iloc[0])))
-        lt = int(brows[i]) + np.cumsum(ns) - ns
-        return pd.DataFrame({
-            "total_c": g["total_c"].to_numpy(np.int64),
-            "w_lt": lt,
-            "w_le": lt + ns,
-            "w_dlt": int(bdv[i]) + np.arange(len(ns), dtype=np.int64)})
+        g = _sorted(g, "total_c")           # ranges ascend with the value
+        ns = g["n"].to_numpy().astype(np.int64)
+        rb = g["rbucket"].to_numpy()
+        i = np.searchsorted(rbs_s, rb)
+        lt = brows[i] + run_cumsum(rb, ns) - ns
+        dlt = bdv[i] + run_cumsum(rb, np.ones(len(ns), np.int64)) - 1
+        return pa.table({"total_c": g["total_c"], "w_lt": lt,
+                         "w_le": lt + ns, "w_dlt": dlt})
 
-    vstats = bcounts.groupby("rbucket").map_groups(bucket_prefix,
-                                                   batch_format="pandas")
+    vstats = bucketed(bcounts, ["rbucket"], bucket_prefix, num_buckets)
     joined = hash_join(withc, vstats, on=("total_c",),
                        num_partitions=num_buckets)
     return joined, n
@@ -1290,18 +1221,9 @@ def segment_percentiles(sf_dir: str, num_buckets: int = 32) -> Dataset:
                          aggs={"n": (None, "count")},
                          num_buckets=num_buckets)
 
-    def seg_bucket(batch: pa.Table) -> pa.Table:
-        # bucket by a DETERMINISTIC segment hash (crc32 — Python's hash()
-        # is salted per process) so every segment's counts co-locate
-        import zlib
-        seg = batch.column("c_mktsegment").to_pylist()
-        b = np.fromiter((zlib.crc32(s.encode()) % num_buckets for s in seg),
-                        np.int32, len(seg))
-        return batch.append_column("sbucket", pa.array(b, pa.int32()))
-
-    def pctl(g: pd.DataFrame) -> pd.DataFrame:
+    def pctl(g: pa.Table) -> pa.Table:
         outs = []
-        for seg, sub in g.groupby("c_mktsegment", sort=False):
+        for seg, sub in g.to_pandas().groupby("c_mktsegment", sort=False):
             sub = sub.sort_values("total_c", kind="mergesort")
             vals = sub["total_c"].to_numpy()
             cum = np.cumsum(sub["n"].to_numpy())
@@ -1312,14 +1234,9 @@ def segment_percentiles(sf_dir: str, num_buckets: int = 32) -> Dataset:
                 row[name] = int(vals[np.searchsorted(cum, q * n,
                                                      side="left")])
             outs.append(row)
-        if not outs:
-            return pd.DataFrame({"c_mktsegment": pd.Series(dtype=object),
-                                 **{c: pd.Series(dtype=np.int64) for c in
-                                    ("p25_c", "p50_c", "p75_c")}})
-        return pd.DataFrame(outs)
+        return pa.Table.from_pylist(outs)
 
-    return counts.map_batches(seg_bucket, batch_format="pyarrow") \
-        .groupby("sbucket").map_groups(pctl, batch_format="pandas")
+    return bucketed(counts, ["c_mktsegment"], pctl, num_buckets)
 
 
 def row_number_orders(sf_dir: str, n_tiles: int = 7,
@@ -1332,7 +1249,7 @@ def row_number_orders(sf_dir: str, n_tiles: int = 7,
       values) shuffle);
     - within-tie order (rows sharing a total) is resolved by ONE hash
       shuffle of just the (total_c, o_orderkey) key pair — narrow rows,
-      never the payload — bucketed by hash(total_c) so every tie class
+      never the payload — ``bucketed`` on total_c so every tie class
       co-locates; a vectorized per-bucket cumcount ranks the ties.
 
     row_number = (# rows strictly below my value) + (my rank among my
@@ -1341,28 +1258,19 @@ def row_number_orders(sf_dir: str, n_tiles: int = 7,
     int arithmetic — deterministic under any partitioning because the
     (total_c, o_orderkey) sort key is unique per row.
     """
-    from chameleon_entity_linking_ray.functions.hashing import mix64
-
     orders = read_table(sf_dir, "orders", ["o_orderkey", "o_totalprice"])
 
     def prep(batch: pa.Table) -> pa.Table:
-        tc = _cents(batch.column("o_totalprice"))
-        t = tc.to_numpy(zero_copy_only=False)
-        return pa.table({
-            "o_orderkey": batch.column("o_orderkey"),
-            "total_c": tc,
-            "bucket": pa.array((mix64(t.astype(np.uint64), seed=53)
-                                % np.uint64(num_buckets)).astype(np.int32),
-                               pa.int32()),
-        })
+        return pa.table({"o_orderkey": batch.column("o_orderkey"),
+                         "total_c": _cents(batch.column("o_totalprice"))})
 
     withc = orders.map_batches(prep, batch_format="pyarrow")
     wds, n = _window_counts(withc, num_buckets)
 
-    def rank_ties(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["total_c", "o_orderkey"], kind="mergesort")
+    def rank_ties(g: pa.Table) -> pa.Table:
+        g = _sorted(g, "total_c", "o_orderkey")
         tc = g["total_c"].to_numpy()
-        below = g["w_lt"].to_numpy(np.int64)
+        below = g["w_lt"].to_numpy().astype(np.int64)
         tie_rank = np.arange(len(g)) - np.searchsorted(tc, tc, side="left")
         rn = (below + tie_rank + 1).astype(np.int64)
         base, rem = divmod(n, n_tiles)
@@ -1370,45 +1278,40 @@ def row_number_orders(sf_dir: str, n_tiles: int = 7,
         r0 = rn - 1
         tile = np.where(r0 < boundary, r0 // (base + 1),
                         rem + (r0 - boundary) // max(base, 1)) + 1
-        return pd.DataFrame({"o_orderkey": g["o_orderkey"].to_numpy(),
-                             "total_c": tc,
-                             "rn": rn, "tile": tile.astype(np.int64)})
+        return pa.table({"o_orderkey": g["o_orderkey"], "total_c": tc,
+                         "rn": rn, "tile": tile.astype(np.int64)})
 
-    return wds.groupby("bucket").map_groups(rank_ties,
-                                            batch_format="pandas")
+    return bucketed(wds, ["total_c"], rank_ties, num_buckets)
 
 
 def user_gaps(sf_dir: str, num_buckets: int = 32) -> Dataset:
     """Per-user ``LAG``: for every event with a predecessor, the gap in
     seconds to the SAME user's previous event — SQL's
     ``ts - LAG(ts) OVER (PARTITION BY user ORDER BY ts, event_id)``.
-    One hash-bucket shuffle on user (the shared window-op key), then a
+    One ``bucketed`` shuffle on user (the shared window-op key), then a
     fully vectorized per-bucket diff — no per-row Python. The (ts_s,
     event_id) order key is unique, so the output is deterministic."""
     ev = read_table(sf_dir, "events", ["event_id", "ts", "user_id"])
-    prep = _user_ts_prep(num_buckets, seed=47, extra=lambda b: {
+    prep = _user_ts_prep(extra=lambda b: {
         "event_id": b.column("event_id").cast(pa.int64()),
     })
 
-    def gaps(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts_s", "event_id"], kind="mergesort")
+    def gaps(g: pa.Table) -> pa.Table:
+        g = _sorted(g, "user_id", "ts_s", "event_id")
         uid = g["user_id"].to_numpy()
         ts = g["ts_s"].to_numpy()
-        if len(g) == 0:
-            return pd.DataFrame({c: pd.Series(dtype=np.int64) for c in
-                                 ("event_id", "user_id", "ts_s", "gap_s")})
         has_prev = np.r_[False, uid[1:] == uid[:-1]]
         gap = np.r_[0, ts[1:] - ts[:-1]]
         keep = np.flatnonzero(has_prev)
-        return pd.DataFrame({
+        return pa.table({
             "event_id": g["event_id"].to_numpy()[keep],
             "user_id": uid[keep],
             "ts_s": ts[keep],
             "gap_s": gap[keep].astype(np.int64),
         })
 
-    return ev.map_batches(prep, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(gaps, batch_format="pandas")
+    return bucketed(ev.map_batches(prep, batch_format="pyarrow"),
+                    ["user_id"], gaps, num_buckets)
 
 
 def segment_stats(sf_dir: str) -> Dataset:
@@ -1456,7 +1359,7 @@ def customer_order_span(sf_dir: str) -> Dataset:
     argmin becomes an ordinary associative min, so the shuffle moves one
     row per (customer, block), never the order rows. Encoding assumption:
     orderkey < 2^32 (holds through TPC-H SF10k); beyond that, swap the
-    encoded min for a struct-min map_groups over the same buckets."""
+    encoded min for a struct-min ``bucketed`` stage on the same key."""
     orders = read_table(sf_dir, "orders", ["o_custkey", "o_orderkey",
                                            "o_orderdate"])
 
@@ -1531,24 +1434,25 @@ def user_event_paths(sf_dir: str, num_buckets: int = 32) -> Dataset:
     """Grouped ORDERED collect (SQL ``string_agg(x, ',' ORDER BY ts)``):
     each user's event-type sequence in time order as one string — the
     reference's grouped-collect A1 with an explicit deterministic order
-    key (ts_s, event_id unique per row). One hash-bucket shuffle on
+    key (ts_s, event_id unique per row). One ``bucketed`` shuffle on
     user, one vectorized sort + per-group join per bucket."""
     ev = read_table(sf_dir, "events", ["event_id", "ts", "user_id",
                                        "event_type"])
-    prep = _user_ts_prep(num_buckets, seed=59, extra=lambda b: {
+    prep = _user_ts_prep(extra=lambda b: {
         "event_id": b.column("event_id").cast(pa.int64()),
         "event_type": b.column("event_type").cast(pa.string()),
     })
 
-    def paths(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts_s", "event_id"], kind="mergesort")
+    def paths(g: pa.Table) -> pa.Table:
+        g = _sorted(g, "user_id", "ts_s", "event_id").to_pandas()
         out = g.groupby("user_id", sort=False)["event_type"] \
             .agg([("path", ",".join), ("n_events", "size")]).reset_index()
         out["n_events"] = out["n_events"].astype(np.int64)
-        return out[["user_id", "n_events", "path"]]
+        return pa.Table.from_pandas(out[["user_id", "n_events", "path"]],
+                                    preserve_index=False)
 
-    return ev.map_batches(prep, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(paths, batch_format="pandas")
+    return bucketed(ev.map_batches(prep, batch_format="pyarrow"),
+                    ["user_id"], paths, num_buckets)
 
 
 def _pareto_frontier(df: pd.DataFrame) -> pd.DataFrame:
@@ -1653,7 +1557,7 @@ def funnel_events(sf_dir: str, steps: tuple[str, str, str] =
     funnel; the reference's per-qid candidate loops are the same
     group-then-scan shape, /root/reference/CrossEncoder/test.py:80-106).
 
-    One hash-bucket shuffle co-locates each user's events; the per-bucket
+    One ``bucketed`` shuffle co-locates each user's events; the per-bucket
     kernel is a vectorized three-stage min-cascade (pandas groupby-min per
     stage, no per-event Python). Timestamps compare in epoch-us int64, so
     "after" is exact and tie-handling (same-microsecond events do NOT
@@ -1662,21 +1566,14 @@ def funnel_events(sf_dir: str, steps: tuple[str, str, str] =
     Emits one row per distinct user: (user_id, depth 0-3, t1, t2, t3
     nullable epoch-us).
     """
-    from chameleon_entity_linking_ray.functions.hashing import mix64
-
     ev = read_table(sf_dir, "events", ["user_id", "ts", "event_type"])
 
     def prep(b: pa.Table) -> pa.Table:
-        uid = b.column("user_id").cast(pa.int64()).combine_chunks()
-        u = uid.to_numpy(zero_copy_only=False)
         return pa.table({
-            "user_id": uid,
+            "user_id": b.column("user_id").cast(pa.int64()),
             "ts_us": b.column("ts").cast(pa.timestamp("us"))
             .cast(pa.int64()),
             "event_type": b.column("event_type").cast(pa.string()),
-            "bucket": pa.array((mix64(u.astype(np.uint64), seed=53)
-                                % np.uint64(num_buckets)).astype(np.int32),
-                               pa.int32()),
         })
 
     a, bstep, cstep = steps
@@ -1687,13 +1584,10 @@ def funnel_events(sf_dir: str, steps: tuple[str, str, str] =
         return pa.array(np.where(m, 0, v).astype(np.int64), pa.int64(),
                         mask=m)
 
-    def funnel(g: pd.DataFrame) -> pa.Table:
+    def funnel(t: pa.Table) -> pa.Table:
+        g = t.to_pandas()
         users = pd.DataFrame({"user_id":
                               np.unique(g["user_id"].to_numpy())})
-        if len(users) == 0:
-            e64 = pa.array([], pa.int64())
-            return pa.table({"user_id": e64, "depth": e64,
-                             "t1": e64, "t2": e64, "t3": e64})
         s1 = g[g["event_type"] == a].groupby("user_id")["ts_us"] \
             .min().rename("t1").reset_index()
         m2 = g[g["event_type"] == bstep].merge(s1, on="user_id")
@@ -1716,8 +1610,8 @@ def funnel_events(sf_dir: str, steps: tuple[str, str, str] =
             "t2": _nullable_int(out["t2"]),
             "t3": _nullable_int(out["t3"])})
 
-    return ev.map_batches(prep, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(funnel, batch_format="pandas")
+    return bucketed(ev.map_batches(prep, batch_format="pyarrow"),
+                    ["user_id"], funnel, num_buckets)
 
 
 def histogram_orders(sf_dir: str, width_c: int = 50_000_00) -> Dataset:
@@ -1828,28 +1722,17 @@ def event_lift(sf_dir: str, num_buckets: int = 32) -> Dataset:
     on raw events. Counts exact ints; support/confidence/lift single
     float expressions mirrored in SQL.
     """
-    from chameleon_entity_linking_ray.functions.hashing import mix64
     from chameleon_entity_linking_ray.stages.agg import distinct, grouped_agg
 
     ev = read_table(sf_dir, "events", ["user_id", "event_type"])
     # consumed three times (pair gen, per-type counts, user count):
     # materialize once instead of re-executing the read+dedup lineage
     ut = distinct(ev, ["user_id", "event_type"]).materialize()
+    pair_counts = pa.schema([("type_a", pa.string()),
+                             ("type_b", pa.string()), ("n_both", pa.int64())])
 
-    def ubucket(batch: pa.Table) -> pa.Table:
-        u = batch.column("user_id").cast(pa.int64()).to_numpy(
-            zero_copy_only=False)
-        return batch.append_column(
-            "bucket", pa.array((mix64(u.astype(np.uint64), seed=91)
-                                % np.uint64(num_buckets)).astype(np.int32),
-                               pa.int32()))
-
-    def type_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
-            return pd.DataFrame({"type_a": pd.Series(dtype=object),
-                                 "type_b": pd.Series(dtype=object),
-                                 "n_both": pd.Series(dtype=np.int64)})
-        g = g.sort_values(["user_id", "event_type"], kind="mergesort")
+    def type_pairs(g: pa.Table) -> pa.Table:
+        g = _sorted(g, "user_id", "event_type")
         uid = g["user_id"].to_numpy()
         et = g["event_type"].to_numpy()
         _, counts = np.unique(uid, return_counts=True)
@@ -1864,10 +1747,9 @@ def event_lift(sf_dir: str, num_buckets: int = 32) -> Dataset:
         pairs = pd.DataFrame({"type_a": et[li], "type_b": et[ri]})
         out = pairs.groupby(["type_a", "type_b"], sort=False).size() \
             .rename("n_both").reset_index()
-        return out
+        return pa.Table.from_pandas(out, pair_counts, preserve_index=False)
 
-    both = ut.map_batches(ubucket, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(type_pairs, batch_format="pandas")
+    both = bucketed(ut, ["user_id"], type_pairs, num_buckets)
     both = grouped_agg(both, keys=["type_a", "type_b"],
                        aggs={"n_both": ("n_both", "sum")})
 
@@ -1910,49 +1792,41 @@ def event_lift(sf_dir: str, num_buckets: int = 32) -> Dataset:
 def event_transitions(sf_dir: str, num_buckets: int = 32) -> Dataset:
     """First-order Markov transition counts over each user's event
     stream: (prev_type -> type) pairs in (ts, event_id) order — the
-    sequence-model statistics pass (session-path mining). One bucket
+    sequence-model statistics pass (session-path mining). One ``bucketed``
     shuffle co-locates each user's events; the per-bucket kernel is a
     sort + one shifted compare, no per-event Python. The (ts_us,
     event_id) composite order key is unique, so transition counts are
     deterministic under any partitioning.
     """
-    from chameleon_entity_linking_ray.functions.hashing import mix64
     from chameleon_entity_linking_ray.stages.agg import grouped_agg
 
     ev = read_table(sf_dir, "events", ["user_id", "ts", "event_id",
                                        "event_type"])
+    counts = pa.schema([("prev_type", pa.string()),
+                        ("event_type", pa.string()), ("n", pa.int64())])
 
     def prep(b: pa.Table) -> pa.Table:
-        uid = b.column("user_id").cast(pa.int64()).combine_chunks()
-        u = uid.to_numpy(zero_copy_only=False)
         return pa.table({
-            "user_id": uid,
+            "user_id": b.column("user_id").cast(pa.int64()),
             "ts_us": b.column("ts").cast(pa.timestamp("us"))
             .cast(pa.int64()),
             "event_id": b.column("event_id").cast(pa.int64()),
-            "event_type": b.column("event_type").cast(pa.string()),
-            "bucket": pa.array((mix64(u.astype(np.uint64), seed=97)
-                                % np.uint64(num_buckets)).astype(np.int32),
-                               pa.int32())})
+            "event_type": b.column("event_type").cast(pa.string())})
 
-    def trans(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
-            return pd.DataFrame({"prev_type": pd.Series(dtype=object),
-                                 "event_type": pd.Series(dtype=object),
-                                 "n": pd.Series(dtype=np.int64)})
-        g = g.sort_values(["user_id", "ts_us", "event_id"],
-                          kind="mergesort")
+    def trans(g: pa.Table) -> pa.Table:
+        g = _sorted(g, "user_id", "ts_us", "event_id")
         uid = g["user_id"].to_numpy()
         et = g["event_type"].to_numpy()
         same = np.r_[False, uid[1:] == uid[:-1]]
         prev = np.r_[[""], et[:-1]]
         sub = pd.DataFrame({"prev_type": prev[same],
                             "event_type": et[same]})
-        return sub.groupby(["prev_type", "event_type"], sort=False) \
-            .size().rename("n").reset_index()
+        return pa.Table.from_pandas(
+            sub.groupby(["prev_type", "event_type"], sort=False).size()
+            .rename("n").reset_index(), counts, preserve_index=False)
 
-    parts = ev.map_batches(prep, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(trans, batch_format="pandas")
+    parts = bucketed(ev.map_batches(prep, batch_format="pyarrow"),
+                     ["user_id"], trans, num_buckets)
     return grouped_agg(parts, keys=["prev_type", "event_type"],
                        aggs={"n": ("n", "sum")})
 
@@ -2181,48 +2055,35 @@ def throttle_events(sf_dir: str, gap_s: int = 600,
     same (user, type) stream is more than ``gap_s`` seconds older (LAG
     semantics — non-iterative, so it is exactly SQL-expressible, unlike
     keep-first-of-burst cascades). The standard event-stream
-    de-bouncing/cleaning op. One bucket shuffle per user; the kernel is
-    a sort + one shifted compare over the unique (ts_us, event_id) order
-    key.
+    de-bouncing/cleaning op. One ``bucketed`` shuffle per user; the
+    kernel is a sort + one shifted compare over the unique (ts_us,
+    event_id) order key.
     """
-    from chameleon_entity_linking_ray.functions.hashing import mix64
-
     ev = read_table(sf_dir, "events", ["user_id", "ts", "event_id",
                                        "event_type"])
 
     def prep(b: pa.Table) -> pa.Table:
-        uid = b.column("user_id").cast(pa.int64()).combine_chunks()
-        u = uid.to_numpy(zero_copy_only=False)
         return pa.table({
-            "user_id": uid,
+            "user_id": b.column("user_id").cast(pa.int64()),
             "ts_us": b.column("ts").cast(pa.timestamp("us"))
             .cast(pa.int64()),
             "event_id": b.column("event_id").cast(pa.int64()),
-            "event_type": b.column("event_type").cast(pa.string()),
-            "bucket": pa.array((mix64(u.astype(np.uint64), seed=103)
-                                % np.uint64(num_buckets)).astype(np.int32),
-                               pa.int32())})
+            "event_type": b.column("event_type").cast(pa.string())})
 
     gap_us = gap_s * 1_000_000
 
-    def keep(g: pd.DataFrame) -> pd.DataFrame:
-        cols = ["event_id", "user_id", "event_type", "ts_us"]
-        if len(g) == 0:
-            return pd.DataFrame({c: pd.Series(dtype=np.int64)
-                                 if c != "event_type"
-                                 else pd.Series(dtype=object)
-                                 for c in cols})
-        g = g.sort_values(["user_id", "event_type", "ts_us", "event_id"],
-                          kind="mergesort")
+    def keep(g: pa.Table) -> pa.Table:
+        g = _sorted(g, "user_id", "event_type", "ts_us", "event_id")
         uid = g["user_id"].to_numpy()
         et = g["event_type"].to_numpy()
         ts = g["ts_us"].to_numpy()
         same = np.r_[False, (uid[1:] == uid[:-1]) & (et[1:] == et[:-1])]
         close = np.r_[False, (ts[1:] - ts[:-1]) <= gap_us]
-        return g.loc[~(same & close), cols]
+        return g.filter(pa.array(~(same & close))).select(
+            ["event_id", "user_id", "event_type", "ts_us"])
 
-    return ev.map_batches(prep, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(keep, batch_format="pandas")
+    return bucketed(ev.map_batches(prep, batch_format="pyarrow"),
+                    ["user_id"], keep, num_buckets)
 
 
 def _orders_changes(sf_dir: str) -> Dataset:
@@ -2252,12 +2113,10 @@ def merge_upsert(sf_dir: str, num_buckets: int = 32) -> Dataset:
     """SQL MERGE / upsert: apply a change set to the orders table —
     matched keys take the change's value, unmatched change rows insert,
     unmatched base rows carry over. The table-maintenance primitive
-    every incremental pipeline needs, expressed as ONE bucketed
-    full-outer merge (both sides hashed on the key, per-bucket
-    vectorized combine) — no driver materialization of either side.
+    every incremental pipeline needs, expressed as ONE ``bucketed``
+    full-outer merge on the key (per-bucket vectorized combine) — no
+    driver materialization of either side.
     """
-    from chameleon_entity_linking_ray.functions.hashing import mix64
-
     orders = read_table(sf_dir, "orders", ["o_orderkey", "o_totalprice"])
 
     def base_prep(batch: pa.Table) -> pa.Table:
@@ -2276,25 +2135,14 @@ def merge_upsert(sf_dir: str, num_buckets: int = 32) -> Dataset:
         .union(_orders_changes(sf_dir).map_batches(chg_prep,
                                                    batch_format="pyarrow"))
 
-    def kbucket(batch: pa.Table) -> pa.Table:
-        k = batch.column("o_orderkey").to_numpy(zero_copy_only=False) \
-            .astype(np.uint64)
-        return batch.append_column(
-            "bucket", pa.array((mix64(k, seed=109)
-                                % np.uint64(num_buckets)).astype(np.int32),
-                               pa.int32()))
-
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
-            return pd.DataFrame({"o_orderkey": pd.Series(dtype=np.int64),
-                                 "total_c": pd.Series(dtype=np.int64)})
+    def combine(g: pa.Table) -> pa.Table:
         # change side (1) wins per key: sort by (key, side), keep last
-        g = g.sort_values(["o_orderkey", "side"], kind="mergesort")
-        return g.drop_duplicates(subset=["o_orderkey"], keep="last") \
-            [["o_orderkey", "total_c"]]
+        g = _sorted(g, "o_orderkey", "side")
+        k = g["o_orderkey"].to_numpy()
+        return g.filter(pa.array(np.r_[k[1:] != k[:-1], True])) \
+            .select(["o_orderkey", "total_c"])
 
-    return tagged.map_batches(kbucket, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(combine, batch_format="pandas")
+    return bucketed(tagged, ["o_orderkey"], combine, num_buckets)
 
 
 def snapshot_diff(sf_dir: str, num_buckets: int = 32) -> Dataset:
@@ -2304,8 +2152,6 @@ def snapshot_diff(sf_dir: str, num_buckets: int = 32) -> Dataset:
     change-proportional, never table-proportional). Same single
     bucketed full-outer merge shape as ``merge_upsert``.
     """
-    from chameleon_entity_linking_ray.functions.hashing import mix64
-
     orders = read_table(sf_dir, "orders", ["o_orderkey", "o_totalprice"])
 
     def base_prep(batch: pa.Table) -> pa.Table:
@@ -2325,22 +2171,9 @@ def snapshot_diff(sf_dir: str, num_buckets: int = 32) -> Dataset:
     tagged = orders.map_batches(base_prep, batch_format="pyarrow") \
         .union(new.map_batches(new_prep, batch_format="pyarrow"))
 
-    def kbucket(batch: pa.Table) -> pa.Table:
-        k = batch.column("o_orderkey").to_numpy(zero_copy_only=False) \
-            .astype(np.uint64)
-        return batch.append_column(
-            "bucket", pa.array((mix64(k, seed=113)
-                                % np.uint64(num_buckets)).astype(np.int32),
-                               pa.int32()))
-
-    def diff(g: pd.DataFrame) -> pa.Table:
-        if len(g) == 0:
-            e64 = pa.array([], pa.int64())
-            return pa.table({"o_orderkey": e64, "old_c": e64,
-                             "new_c": e64,
-                             "status": pa.array([], pa.string())})
-        p = g.pivot_table(index="o_orderkey", columns="side", values="v",
-                          aggfunc="first")
+    def diff(g: pa.Table) -> pa.Table:
+        p = g.to_pandas().pivot_table(index="o_orderkey", columns="side",
+                                      values="v", aggfunc="first")
         p = p.rename(columns={0: "old_c", 1: "new_c"}).reset_index()
         if "old_c" not in p:
             p["old_c"] = np.nan
@@ -2362,8 +2195,7 @@ def snapshot_diff(sf_dir: str, num_buckets: int = 32) -> Dataset:
             "status": pa.array(np.where(miss, "ADDED", "CHANGED"),
                                pa.string())})
 
-    return tagged.map_batches(kbucket, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(diff, batch_format="pandas")
+    return bucketed(tagged, ["o_orderkey"], diff, num_buckets)
 
 
 def user_value_history(sf_dir: str, num_buckets: int = 32) -> Dataset:
@@ -2371,53 +2203,38 @@ def user_value_history(sf_dir: str, num_buckets: int = 32) -> Dataset:
     validity intervals — every event's value is current from its
     timestamp until the user's next event (NULL for the open current
     row). The slowly-changing-dimension table every warehouse derives
-    from change streams; SQL's LEAD window. One bucket shuffle per user;
-    the kernel is a sort + one shifted compare over the unique
+    from change streams; SQL's LEAD window. One ``bucketed`` shuffle per
+    user; the kernel is a sort + one shifted compare over the unique
     (ts_us, event_id) order key, so intervals are deterministic.
     """
-    from chameleon_entity_linking_ray.functions.hashing import mix64
-
     ev = read_table(sf_dir, "events", ["user_id", "ts", "event_id",
                                        "value"])
 
     def prep(b: pa.Table) -> pa.Table:
         t = b.filter(pc.is_valid(b.column("value")))
-        uid = t.column("user_id").cast(pa.int64()).combine_chunks()
-        u = uid.to_numpy(zero_copy_only=False)
         return pa.table({
-            "user_id": uid,
+            "user_id": t.column("user_id").cast(pa.int64()),
             "event_id": t.column("event_id").cast(pa.int64()),
             "ts_us": t.column("ts").cast(pa.timestamp("us"))
             .cast(pa.int64()),
-            "value_c": _cents(t.column("value")),
-            "bucket": pa.array((mix64(u.astype(np.uint64), seed=127)
-                                % np.uint64(num_buckets)).astype(np.int32),
-                               pa.int32())})
+            "value_c": _cents(t.column("value"))})
 
-    def history(g: pd.DataFrame) -> pa.Table:
-        if len(g) == 0:
-            e64 = pa.array([], pa.int64())
-            return pa.table({"user_id": e64, "event_id": e64,
-                             "value_c": e64, "valid_from_us": e64,
-                             "valid_to_us": e64})
-        g = g.sort_values(["user_id", "ts_us", "event_id"],
-                          kind="mergesort")
-        uid = g["user_id"].to_numpy(np.int64)
-        ts = g["ts_us"].to_numpy(np.int64)
+    def history(g: pa.Table) -> pa.Table:
+        g = _sorted(g, "user_id", "ts_us", "event_id")
+        uid = g["user_id"].to_numpy()
+        ts = g["ts_us"].to_numpy()
         nxt_same = np.r_[uid[1:] == uid[:-1], False]
         nxt_ts = np.r_[ts[1:], 0]
         return pa.table({
-            "user_id": pa.array(uid, pa.int64()),
-            "event_id": pa.array(g["event_id"].to_numpy(np.int64),
-                                 pa.int64()),
-            "value_c": pa.array(g["value_c"].to_numpy(np.int64),
-                                pa.int64()),
-            "valid_from_us": pa.array(ts, pa.int64()),
+            "user_id": g["user_id"],
+            "event_id": g["event_id"],
+            "value_c": g["value_c"],
+            "valid_from_us": g["ts_us"],
             "valid_to_us": pa.array(np.where(nxt_same, nxt_ts, 0),
                                     pa.int64(), mask=~nxt_same)})
 
-    return ev.map_batches(prep, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(history, batch_format="pandas")
+    return bucketed(ev.map_batches(prep, batch_format="pyarrow"),
+                    ["user_id"], history, num_buckets)
 
 
 def lineitem_big_orders(sf_dir: str,
@@ -2531,10 +2348,8 @@ def stringsort_rank_quirk(sf_dir: str, k: int = 10,
     score strings, which depends on the order merge inputs were read,
     so byte-for-byte parity is guaranteed only where score strings are
     tie-free; pid-asc makes the engine's choice reproducible). One
-    bucketed shuffle.
+    ``bucketed`` shuffle on qid.
     """
-    from chameleon_entity_linking_ray.stages.agg import _bucket_of
-
     orders = read_table(sf_dir, "orders",
                         ["o_custkey", "o_orderkey", "o_totalprice"])
 
@@ -2544,34 +2359,28 @@ def stringsort_rank_quirk(sf_dir: str, k: int = 10,
         whole = (c // 100).astype("U")
         frac = np.char.zfill((c % 100).astype("U"), 2)
         s = np.char.add(np.char.add(whole, "."), frac)
-        out = pa.table({
+        return pa.table({
             "qid": batch.column("o_custkey").cast(pa.int64()),
             "pid": batch.column("o_orderkey").cast(pa.int64()),
             "score_str": pa.array(s, pa.string()),
             "score_c": pa.array(c, pa.int64()),
         })
-        df = out.to_pandas()
-        df["__qbucket"] = _bucket_of(df, ["qid"], num_buckets)
-        return pa.Table.from_pandas(df, preserve_index=False)
 
-    def ranks(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["qid", "score_str", "pid"],
+    def ranks(t: pa.Table) -> pa.Table:
+        g = t.to_pandas().sort_values(["qid", "score_str", "pid"],
                           ascending=[True, False, True], kind="mergesort")
         g["rank_str"] = g.groupby("qid", sort=False).cumcount() + 1
         g = g.sort_values(["qid", "score_c", "pid"],
                           ascending=[True, False, True], kind="mergesort")
         g["rank_num"] = g.groupby("qid", sort=False).cumcount() + 1
         g = g[g["rank_str"] <= k]
-        return pd.DataFrame({
-            "qid": g["qid"].to_numpy(np.int64),
-            "pid": g["pid"].to_numpy(np.int64),
-            "score_str": g["score_str"],
-            "rank_str": g["rank_str"].to_numpy(np.int64),
-            "rank_num": g["rank_num"].to_numpy(np.int64),
-        })
+        return pa.Table.from_pandas(
+            g[["qid", "pid", "score_str", "rank_str", "rank_num"]]
+            .astype({"rank_str": np.int64, "rank_num": np.int64}),
+            preserve_index=False)
 
-    return orders.map_batches(prep, batch_format="pyarrow") \
-        .groupby("__qbucket").map_groups(ranks, batch_format="pandas")
+    return bucketed(orders.map_batches(prep, batch_format="pyarrow"),
+                    ["qid"], ranks, num_buckets)
 
 
 # --- data-quality: population-stability drift between two periods ---

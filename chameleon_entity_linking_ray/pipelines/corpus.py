@@ -21,7 +21,6 @@ import ray.data
 from ray.data import Dataset
 
 from chameleon_entity_linking_ray.config import LinkageConfig
-from chameleon_entity_linking_ray.functions.hashing import hash64, mix64
 from chameleon_entity_linking_ray.functions.minhash import (
     lsh_band_keys,
     minhash_signatures,
@@ -37,6 +36,7 @@ from chameleon_entity_linking_ray.stages.agg import embedding_matrix, grouped_ag
 from chameleon_entity_linking_ray.stages.blocking import block_pairs
 from chameleon_entity_linking_ray.stages.fold import fold
 from chameleon_entity_linking_ray.stages.joins import attach
+from chameleon_entity_linking_ray.stages.shuffle import bucketed
 
 
 # ---------------------------------------------------------------- text analysis
@@ -197,24 +197,18 @@ def _assemble_matrix(blocks: list[pa.Table]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def dedup_exact(sf_dir: str) -> Dataset:
-    """Exact dedup: hash-partition by text, keep min doc_id per text group
-    (keep-first). One row per distinct text."""
+    """Exact dedup: a ``bucketed`` shuffle on text, keep min doc_id per
+    text group (keep-first). One row per distinct text."""
     docs = read_table(sf_dir, "documents", ["doc_id", "text"])
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        b = (mix64(hash64(batch.column("text").to_pylist()), seed=41) %
-             np.uint64(64)).astype(np.int32)
-        return batch.append_column("__tbucket", pa.array(b, pa.int32()))
-
-    def keep_first(g: pd.DataFrame) -> pd.DataFrame:
-        gb = g.groupby("text", sort=False)["doc_id"]
+    def keep_first(g: pa.Table) -> pa.Table:
+        gb = g.to_pandas().groupby("text", sort=False)["doc_id"]
         out = pd.DataFrame({"keep_id": gb.min(), "n_copies": gb.size()}).reset_index()
         out["n_copies"] = out["n_copies"].astype(np.int64)
-        return out[["keep_id", "n_copies"]].assign(text=out["text"])[
-            ["text", "keep_id", "n_copies"]]
+        return pa.Table.from_pandas(out[["text", "keep_id", "n_copies"]],
+                                    preserve_index=False)
 
-    return docs.map_batches(add_bucket, batch_format="pyarrow") \
-        .groupby("__tbucket").map_groups(keep_first, batch_format="pandas")
+    return bucketed(docs, ["text"], keep_first, 64)
 
 
 def minhash_dup_pairs(sf_dir: str, threshold: float = 0.5, k: int = 8,
@@ -706,14 +700,15 @@ def simhash_pairs_ds(docs: Dataset, max_hamming: int = 3,
     Charikar-style near-dup detector as a banded shuffle.
 
     Shape: one map_batches computes signatures and fans each doc out to
-    its ``n_bands`` (band, band_value) keys; one groupby co-locates band
-    buckets; the per-bucket kernel is a vectorized XOR + SWAR-popcount
-    matrix over the bucket (buckets are 16-bit-key-bounded). Pairs are
-    emitted EXACTLY ONCE with no dedup shuffle: a pair found in band j is
-    emitted only if no band j' < j also matches (the first-matching-band
-    rule — each side of the pair can check it locally from the two
-    signatures). By the pigeonhole principle 4 bands catch every pair
-    with Hamming <= 3, so the candidate set is exact, not approximate.
+    its ``n_bands`` (band, band_value) keys; one ``bucketed`` shuffle
+    co-locates each band key's docs; the per-key kernel is a vectorized
+    XOR + SWAR-popcount matrix over the key's docs (16-bit-key-bounded).
+    Pairs are emitted EXACTLY ONCE with no dedup shuffle: a pair found in
+    band j is emitted only if no band j' < j also matches (the
+    first-matching-band rule — each side of the pair can check it
+    locally from the two signatures). By the pigeonhole principle 4 bands
+    catch every pair with Hamming <= 3, so the candidate set is exact,
+    not approximate.
 
     Scale: bucket width is data-dependent (near-identical corpora
     concentrate); the kernel is O(bucket^2) XORs — cheap vector ops — and
@@ -740,16 +735,9 @@ def simhash_pairs_ds(docs: Dataset, max_hamming: int = 3,
             "bv": pa.array(bv.reshape(-1).view(np.int64)),
         })
 
-    def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        out_empty = pd.DataFrame({c: pd.Series(dtype=np.int64) for c in
-                                  ("doc_a", "doc_b", "hamming")})
-        n = len(g)
-        if n < 2:
-            return out_empty
-        g = g.sort_values("doc_id", kind="mergesort")
-        sig = g["sig"].to_numpy().view(np.uint64)
-        doc = g["doc_id"].to_numpy()
-        band = int(g["band"].iloc[0])
+    def key_pairs(sig: np.ndarray, doc: np.ndarray, band: int) -> np.ndarray:
+        """(doc_a, doc_b, hamming) rows of one (band, bv) key's docs."""
+        n = len(sig)
         x = sig[:, None] ^ sig[None, :]
         hd = _popcount64(x.reshape(-1)).reshape(n, n)
         cand = np.triu(hd <= max_hamming, k=1)
@@ -758,17 +746,25 @@ def simhash_pairs_ds(docs: Dataset, max_hamming: int = 3,
             bj = (sig >> np.uint64(j * width)) & mask
             cand &= bj[:, None] != bj[None, :]
         ia, ib = np.nonzero(cand)
-        if not len(ia):
-            return out_empty
-        return pd.DataFrame({
-            "doc_a": doc[ia].astype(np.int64),
-            "doc_b": doc[ib].astype(np.int64),
-            "hamming": hd[ia, ib].astype(np.int64),
-        })
+        return np.c_[doc[ia], doc[ib], hd[ia, ib]]
 
-    return docs.map_batches(to_bands, batch_format="pyarrow") \
-        .groupby(["band", "bv"]).map_groups(bucket_pairs,
-                                            batch_format="pandas")
+    def bucket_pairs(g: pa.Table) -> pa.Table:
+        g = g.sort_by([("band", "ascending"), ("bv", "ascending"),
+                       ("doc_id", "ascending")])
+        band, bv = g["band"].to_numpy(), g["bv"].to_numpy()
+        sig = g["sig"].to_numpy().view(np.uint64)
+        doc = g["doc_id"].to_numpy()
+        cuts = np.r_[0, np.flatnonzero((band[1:] != band[:-1])
+                                       | (bv[1:] != bv[:-1])) + 1, len(g)]
+        out = np.concatenate([np.empty((0, 3), np.int64)] + [
+            key_pairs(sig[lo:hi], doc[lo:hi], int(band[lo]))
+            for lo, hi in zip(cuts[:-1], cuts[1:]) if hi - lo > 1]) \
+            .astype(np.int64)
+        return pa.table({"doc_a": out[:, 0], "doc_b": out[:, 1],
+                         "hamming": out[:, 2]})
+
+    return bucketed(docs.map_batches(to_bands, batch_format="pyarrow"),
+                    ["band", "bv"], bucket_pairs, 32)
 
 
 def simhash_dup_pairs(sf_dir: str, max_hamming: int = 3,
@@ -1008,7 +1004,7 @@ def edit_distance_pairs(sf_dir: str, cap: int = 10,
     core of T2 (/root/reference/CrossEncoder/model.py:36-62's pairwise
     scoring role) beyond the rows-only linkage check.
 
-    Shape: ONE hash-bucket shuffle on the blocking token; per bucket a
+    Shape: ONE ``bucketed`` shuffle on the blocking token; per bucket a
     vectorized segment all-pairs emission (ragged arange, no Python
     loops over pairs), a |len(a)-len(b)| <= cap prefilter, then the
     batched DP whose cost is O(maxlen^2) numpy steps per bucket — never
@@ -1024,24 +1020,15 @@ def edit_distance_pairs(sf_dir: str, cap: int = 10,
     def prep(batch: pa.Table) -> pa.Table:
         names = batch.column("p_name").cast(pa.string())
         tok = pc.list_element(pc.split_pattern(names, " "), 0)
-        h = hash64(np.asarray(tok.to_pylist(), dtype=object))
         return pa.table({
             "p_partkey": batch.column("p_partkey"),
             "p_name": names,
             "tok": tok,
-            "bucket": pa.array((h % np.uint64(num_buckets))
-                               .astype(np.int32), pa.int32()),
         })
 
-    def pairs(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["tok", "p_partkey"], kind="mergesort")
-        out_empty = pd.DataFrame({
-            "part_a": pd.Series(dtype=np.int64),
-            "part_b": pd.Series(dtype=np.int64),
-            "lev": pd.Series(dtype=np.int64)})
+    def pairs(g: pa.Table) -> pa.Table:
+        g = g.sort_by([("tok", "ascending"), ("p_partkey", "ascending")])
         n = len(g)
-        if n == 0:
-            return out_empty
         tok = g["tok"].to_numpy()
         keys = g["p_partkey"].to_numpy()
         names = g["p_name"].to_numpy()
@@ -1053,16 +1040,15 @@ def edit_distance_pairs(sf_dir: str, cap: int = 10,
         ln = np.fromiter(map(len, names), np.int64, n)
         keep = np.abs(ln[idx_a] - ln[idx_b]) <= cap
         idx_a, idx_b = idx_a[keep], idx_b[keep]
-        if idx_a.size == 0:
-            return out_empty
-        lev = levenshtein_batch(list(names[idx_a]), list(names[idx_b]))
+        lev = levenshtein_batch(list(names[idx_a]), list(names[idx_b])) \
+            if idx_a.size else np.empty(0, np.int64)
         hit = lev <= cap
-        return pd.DataFrame({"part_a": keys[idx_a[hit]],
-                             "part_b": keys[idx_b[hit]],
-                             "lev": lev[hit]})
+        return pa.table({"part_a": keys[idx_a[hit]],
+                         "part_b": keys[idx_b[hit]],
+                         "lev": lev[hit].astype(np.int64)})
 
-    return part.map_batches(prep, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(pairs, batch_format="pandas")
+    return bucketed(part.map_batches(prep, batch_format="pyarrow"),
+                    ["tok"], pairs, num_buckets)
 
 
 # fixed benchmark queries over the synthetic document vocabulary — the
@@ -1391,27 +1377,19 @@ def damerau_pairs(sf_dir: str, cap: int = 10,
         names = batch.column("p_name").cast(pa.string())
         words = pc.split_pattern(names, " ")
         tok = pc.binary_join(pc.list_slice(words, 0, 2), " ")
-        h = hash64(np.asarray(tok.to_pylist(), dtype=object))
         return pa.table({
             "p_partkey": batch.column("p_partkey"),
             "p_name": names,
             "tok": tok,
-            "bucket": pa.array((h % np.uint64(num_buckets))
-                               .astype(np.int32), pa.int32()),
         })
 
-    def pairs(g: pd.DataFrame) -> pd.DataFrame:
-        out_empty = pd.DataFrame({
-            "part_a": pd.Series(dtype=np.int64),
-            "part_b": pd.Series(dtype=np.int64),
-            "dl": pd.Series(dtype=np.int64)})
-        if len(g) == 0:
-            return out_empty
+    def pairs(g: pa.Table) -> pa.Table:
         # sort by tok FIRST so tok runs are contiguous by construction
         # (not as an artifact of space sorting below alphanumerics in
         # the name sort), matching jw_name_pairs; name runs stay
         # contiguous because tok is a pure function of p_name
-        g = g.sort_values(["tok", "p_name", "p_partkey"], kind="mergesort")
+        g = g.sort_by([("tok", "ascending"), ("p_name", "ascending"),
+                       ("p_partkey", "ascending")])
         names = g["p_name"].to_numpy()
         toks = g["tok"].to_numpy()
         ids = g["p_partkey"].to_numpy().astype(np.int64)
@@ -1445,8 +1423,6 @@ def damerau_pairs(sf_dir: str, cap: int = 10,
                 list(u_name[di[diff]]), list(u_name[dj[diff]]))
         keep = d <= cap
         di, dj, d = di[keep], dj[keep], d[keep]
-        if len(di) == 0:
-            return out_empty
         # expand matched name pairs to id pairs (vectorized cross
         # products; same-name pairs keep the a < b triangle)
         sa, sb = u_cnt[di], u_cnt[dj]
@@ -1462,13 +1438,13 @@ def damerau_pairs(sf_dir: str, cap: int = 10,
         # the full square -> keep the strict triangle
         same = np.repeat(di == dj, cnt)
         keep2 = ~same | (ia < ib)
-        return pd.DataFrame({
+        return pa.table({
             "part_a": np.minimum(ia, ib)[keep2],
             "part_b": np.maximum(ia, ib)[keep2],
             "dl": dd[keep2]})
 
-    return part.map_batches(prep, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(pairs, batch_format="pandas")
+    return bucketed(part.map_batches(prep, batch_format="pyarrow"),
+                    ["tok"], pairs, num_buckets)
 
 
 _SOUNDEX_MAP = str.maketrans("ABCDEFGHIJKLMNOPQRSTUVWXYZ",
@@ -1606,33 +1582,26 @@ def jw_name_pairs(sf_dir: str, threshold: float = 0.85,
         # bounded, so block growth is bounded too (unlike the id-level
         # joins, where damerau_pairs needs the two-token key)
         tok = pc.list_element(pc.split_pattern(names, " "), 0)
-        h = hash64(np.asarray(tok.to_pylist(), dtype=object))
-        return pa.table({
-            "p_name": names, "tok": tok,
-            "bucket": pa.array((h % np.uint64(num_buckets))
-                               .astype(np.int32), pa.int32())})
+        return pa.table({"p_name": names, "tok": tok})
 
-    def pairs(g: pd.DataFrame) -> pd.DataFrame:
-        out_empty = pd.DataFrame({
-            "name_a": pd.Series(dtype=object),
-            "name_b": pd.Series(dtype=object),
-            "jw": pd.Series(dtype=np.float64)})
-        if len(g) == 0:
-            return out_empty
-        g = g.sort_values(["tok", "p_name"], kind="mergesort")
+    out = pa.schema([("name_a", pa.string()), ("name_b", pa.string()),
+                     ("jw", pa.float64())])
+
+    def pairs(g: pa.Table) -> pa.Table:
+        g = g.sort_by([("tok", "ascending"), ("p_name", "ascending")])
         _, counts = np.unique(g["tok"].to_numpy(), return_counts=True)
         li, ri = _run_pairs(counts, window=0, max_block=len(g) + 1)
         if len(li) == 0:
-            return out_empty
+            return out.empty_table()
         names = g["p_name"].to_numpy()
         a, b = names[li], names[ri]  # a < b: name-sorted within block
         jw = jaro_winkler_batch(list(a), list(b))
         keep = jw >= threshold
-        return pd.DataFrame({"name_a": a[keep], "name_b": b[keep],
-                             "jw": jw[keep]})
+        return pa.table({"name_a": a[keep], "name_b": b[keep],
+                         "jw": jw[keep]}, schema=out)
 
-    return names_ds.map_batches(prep, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(pairs, batch_format="pandas")
+    return bucketed(names_ds.map_batches(prep, batch_format="pyarrow"),
+                    ["tok"], pairs, num_buckets)
 
 
 def _pair_f1(blocks: list[pa.Table]) -> pa.Table:
@@ -1996,9 +1965,9 @@ def golden_records(sf_dir: str, window: int = 6, cap: int = 4,
     record per ``dedup_parts_snm`` cluster with deterministic
     survivorship rules: canonical name = the minimum member id's name
     (arg_min), brand = deterministic mode (most frequent, lexicographic
-    min on ties), size = max, plus the member count. One bucket shuffle
-    on cluster_id; every rule is tie-deterministic, so the table is
-    hash-exact vs SQL.
+    min on ties), size = max, plus the member count. One ``bucketed``
+    shuffle on cluster_id; every rule is tie-deterministic, so the table
+    is hash-exact vs SQL.
     """
     assigned = dedup_parts_snm(sf_dir, window=window, cap=cap) \
         .select_columns(["p_partkey", "cluster_id"])
@@ -2006,24 +1975,9 @@ def golden_records(sf_dir: str, window: int = 6, cap: int = 4,
                       ["p_partkey", "p_name", "p_brand", "p_size"])
     j = attach(assigned, part, "p_partkey")
 
-    def cbucket(batch: pa.Table) -> pa.Table:
-        c = batch.column("cluster_id").to_numpy(zero_copy_only=False) \
-            .astype(np.uint64)
-        return batch.append_column(
-            "bucket", pa.array((mix64(c, seed=107)
-                                % np.uint64(num_buckets)).astype(np.int32),
-                               pa.int32()))
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        cols = {"cluster_id": pd.Series(dtype=np.int64),
-                "n_members": pd.Series(dtype=np.int64),
-                "canonical_name": pd.Series(dtype=object),
-                "mode_brand": pd.Series(dtype=object),
-                "max_size": pd.Series(dtype=np.int64)}
-        if len(g) == 0:
-            return pd.DataFrame(cols)
+    def merge(g: pa.Table) -> pa.Table:
         outs = []
-        for cid, sub in g.groupby("cluster_id", sort=False):
+        for cid, sub in g.to_pandas().groupby("cluster_id", sort=False):
             sub = sub.sort_values("p_partkey", kind="mergesort")
             vc = sub.groupby("p_brand")["p_brand"].count()
             top = vc[vc == vc.max()].index.min()
@@ -2033,10 +1987,9 @@ def golden_records(sf_dir: str, window: int = 6, cap: int = 4,
                 "canonical_name": sub["p_name"].iloc[0],
                 "mode_brand": top,
                 "max_size": int(sub["p_size"].max())})
-        return pd.DataFrame(outs)
+        return pa.Table.from_pylist(outs)
 
-    return j.map_batches(cbucket, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(merge, batch_format="pandas")
+    return bucketed(j, ["cluster_id"], merge, num_buckets)
 
 
 def model_pair_scores(sf_dir: str, window: int = 4,
@@ -2114,8 +2067,8 @@ def linkage_parts_surfaces(sf_dir: str) -> Dataset:
 
     clustered = linkage_parts(sf_dir)
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        t = pa.table({
+    def project(batch: pa.Table) -> pa.Table:
+        return pa.table({
             "conv_id": batch.column("conv_id").cast(pa.string()),
             "turn_idx": batch.column("turn_idx").cast(pa.int64()),
             "span_start": batch.column("span_start").cast(pa.int64()),
@@ -2123,23 +2076,20 @@ def linkage_parts_surfaces(sf_dir: str) -> Dataset:
             "norm": batch.column("norm").cast(pa.string()),
             "rho": batch.column("rho").cast(pa.float32()),
         })
-        h = hash64(np.asarray(t.column("conv_id").to_pylist(),
-                              dtype=object))
-        h ^= t.column("turn_idx").to_numpy(zero_copy_only=False) \
-            .astype(np.uint64)
-        return t.append_column(
-            "gbucket", pa.array((h % np.uint64(32)).astype(np.int32),
-                                pa.int32()))
 
-    def ordinal(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["conv_id", "turn_idx", "span_start"],
-                          kind="mergesort")
-        grp = g.groupby(["conv_id", "turn_idx"], sort=False)
-        g["ord"] = grp.cumcount().to_numpy(np.int64) + 1
-        return g[["conv_id", "turn_idx", "ord", "surface", "norm", "rho"]]
+    def ordinal(g: pa.Table) -> pa.Table:
+        g = g.sort_by([("conv_id", "ascending"), ("turn_idx", "ascending"),
+                       ("span_start", "ascending")])
+        conv, turn = g["conv_id"].to_numpy(), g["turn_idx"].to_numpy()
+        idx = np.arange(len(g))
+        first = np.r_[True, (conv[1:] != conv[:-1]) | (turn[1:] != turn[:-1])]
+        ord_ = idx - np.maximum.accumulate(np.where(first, idx, 0)) + 1
+        return pa.table({"conv_id": conv, "turn_idx": turn, "ord": ord_,
+                         "surface": g["surface"], "norm": g["norm"],
+                         "rho": g["rho"]})
 
-    return clustered.map_batches(add_bucket, batch_format="pyarrow") \
-        .groupby("gbucket").map_groups(ordinal, batch_format="pandas")
+    return bucketed(clustered.map_batches(project, batch_format="pyarrow"),
+                    ["conv_id", "turn_idx"], ordinal, 32)
 
 
 def ann_ivf_fixed_topk(sf_dir: str, n_queries: int = 10, k: int = 5,

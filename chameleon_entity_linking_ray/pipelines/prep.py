@@ -138,12 +138,12 @@ def curation_funnel(sf_dir: str, lang: str = "en",
 
     Shape: stages 1/2/4 are computed in ONE map-only pass (the same
     vectorized kernels as ``doc_langid`` / ``doc_quality`` /
-    ``sample_documents``); stage 3 is the only shuffle — bucketed by the
-    dedup-key hash, keep-first = min doc_id per key among survivors.
+    ``sample_documents``); stage 3 is the only shuffle — ``bucketed`` on
+    the dedup key, keep-first = min doc_id per key among survivors.
     """
     import hashlib
 
-    from chameleon_entity_linking_ray.functions.hashing import hash64, mix64
+    from chameleon_entity_linking_ray.stages.shuffle import bucketed
 
     docs = read_table(sf_dir, "documents", ["doc_id", "text"])
 
@@ -160,8 +160,6 @@ def curation_funnel(sf_dir: str, lang: str = "en",
         s_ok = np.fromiter(
             (hashlib.md5(str(int(d)).encode()).hexdigest()[:4] < sample_hex
              for d in ids), bool, len(ids))
-        bkt = (mix64(hash64(key.to_pylist()), seed=53) %
-               np.uint64(num_buckets)).astype(np.int32)
         return pa.table({
             "doc_id": batch.column("doc_id").cast(pa.int64()),
             "lang_pred": pa.array(pred, pa.string()),
@@ -170,27 +168,20 @@ def curation_funnel(sf_dir: str, lang: str = "en",
             "pass_quality": pa.array(p2.astype(np.int64)),
             "sample_ok": pa.array(s_ok),
             "key": key,
-            "__kbucket": pa.array(bkt, pa.int32()),
         })
 
-    import pandas as pd
-
-    def dedup_gate(g: pd.DataFrame) -> pd.DataFrame:
+    def dedup_gate(t: pa.Table) -> pa.Table:
+        g = t.to_pandas()
         alive = g[g["pass_quality"] == 1]
         first = alive.groupby("key")["doc_id"].min()
         keep = g["key"].map(first)
         p3 = ((g["pass_quality"] == 1) &
               (g["doc_id"] == keep)).astype(np.int64)
         p4 = (p3.astype(bool) & g["sample_ok"]).astype(np.int64)
-        return pd.DataFrame({
-            "doc_id": g["doc_id"].to_numpy(np.int64),
-            "lang_pred": g["lang_pred"],
-            "quality": g["quality"].to_numpy(np.float64),
-            "pass_lang": g["pass_lang"].to_numpy(np.int64),
-            "pass_quality": g["pass_quality"].to_numpy(np.int64),
-            "pass_dedup": p3.to_numpy(np.int64),
-            "pass_sample": p4.to_numpy(np.int64),
-        })
+        return t.select(["doc_id", "lang_pred", "quality", "pass_lang",
+                         "pass_quality"]) \
+            .append_column("pass_dedup", pa.array(p3.to_numpy())) \
+            .append_column("pass_sample", pa.array(p4.to_numpy()))
 
-    return docs.map_batches(gates, batch_format="pyarrow") \
-        .groupby("__kbucket").map_groups(dedup_gate, batch_format="pandas")
+    return bucketed(docs.map_batches(gates, batch_format="pyarrow"),
+                    ["key"], dedup_gate, num_buckets)

@@ -42,6 +42,7 @@ from chameleon_entity_linking_ray.stages.agg import (
     top_k,
 )
 from chameleon_entity_linking_ray.stages.fold import fold
+from chameleon_entity_linking_ray.stages.shuffle import bucketed, run_cumsum
 
 # GPT-2-ish pretokenizer classes: letter runs, digit runs, single
 # non-alphanumeric marks. RE2-compatible (no lookarounds) so Arrow and
@@ -142,9 +143,10 @@ def pack_sequences_ds(docs: Dataset, budget: int = 256,
     combiner groupby collapses per-doc counts to one row per doc_id range
     (``range_size`` docs each — the only driver-held state is #ranges rows,
     a knob, not the corpus); (3) exclusive range offsets are broadcast via
-    ``ray.put``; (4) one shuffle co-locates each range, which sorts its own
-    docs and adds local cumsum to its broadcast base. No global sort, no
-    driver loop over rows."""
+    ``ray.put``; (4) one ``bucketed`` shuffle on the range id co-locates
+    each range, whose docs are sorted and numbered by a local cumsum on
+    the range's broadcast base. No global sort, no driver loop over
+    rows."""
 
     def tok(batch: pa.Table) -> pa.Table:
         d = batch.column("doc_id").to_numpy(zero_copy_only=False)
@@ -163,17 +165,17 @@ def pack_sequences_ds(docs: Dataset, budget: int = 256,
     offsets = np.concatenate([[0], np.cumsum(totals)[:-1]])
     off_ref = ray.put((sums["range_id"].to_numpy(np.int64), offsets))
 
-    def assign(g: pd.DataFrame) -> pd.DataFrame:
+    def assign(g: pa.Table) -> pa.Table:
         rids, offs = ray.get(off_ref)
-        g = g.sort_values("doc_id", kind="mergesort")
-        base = offs[np.searchsorted(rids, int(g["range_id"].iloc[0]))]
-        nt = g["n_tokens"].to_numpy(np.int64)
-        before = base + np.concatenate([[0], np.cumsum(nt)[:-1]])
-        return pd.DataFrame({"doc_id": g["doc_id"].to_numpy(np.int64),
-                             "n_tokens": nt,
-                             "seq_id": before // budget})
+        g = g.sort_by("doc_id")             # ranges ascend with doc_id
+        nt = g["n_tokens"].to_numpy()
+        before = run_cumsum(g["range_id"].to_numpy(), nt) - nt
+        base = offs[np.searchsorted(rids, g["range_id"].to_numpy())]
+        return pa.table({"doc_id": g["doc_id"].cast(pa.int64()),
+                         "n_tokens": nt,
+                         "seq_id": (base + before) // budget})
 
-    return tkr.groupby("range_id").map_groups(assign, batch_format="pandas")
+    return bucketed(tkr, ["range_id"], assign, 32)
 
 
 def pack_sequences(sf_dir: str, budget: int = 256,
@@ -734,7 +736,7 @@ def budget_sample(sf_dir: str, token_budget: int = 600) -> Dataset:
     domain's quota reproducibly (hash order survives resume and
     repartition, unlike any randomized reservoir).
 
-    One bucketed shuffle co-locates each source (same grouped shape as
+    One ``bucketed`` shuffle co-locates each source (same grouped shape as
     ``stratified_sample``); the per-group kernel is a sort by
     (md5(doc_id), doc_id) + cumsum + prefix cut. Only (doc_id, source,
     n_tokens, skey) rows move — never text.
@@ -751,16 +753,16 @@ def budget_sample(sf_dir: str, token_budget: int = 600) -> Dataset:
             "skey": pa.array(_md5_hex(ids), pa.string()),
         })
 
-    def take_prefix(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["skey", "doc_id"], kind="mergesort")
-        cum = np.cumsum(g["n_tokens"].to_numpy(np.int64))
+    def take_prefix(g: pa.Table) -> pa.Table:
+        g = g.sort_by([("source", "ascending"), ("skey", "ascending"),
+                       ("doc_id", "ascending")])
+        cum = run_cumsum(g["source"].to_numpy(), g["n_tokens"].to_numpy())
         keep = cum <= token_budget
-        out = g.loc[keep, ["doc_id", "source", "n_tokens"]].copy()
-        out["cum_tokens"] = cum[keep]
-        return out
+        return g.select(["doc_id", "source", "n_tokens"]).filter(keep) \
+            .append_column("cum_tokens", pa.array(cum[keep]))
 
-    return docs.map_batches(prep, batch_format="pyarrow") \
-        .groupby("source").map_groups(take_prefix, batch_format="pandas")
+    return bucketed(docs.map_batches(prep, batch_format="pyarrow"),
+                    ["source"], take_prefix, 32)
 
 
 # ------------------------------------------------------------ KMV sketch
@@ -1155,12 +1157,13 @@ def train_interleave(sf_dir: str, ratio: int = 4,
     deterministic where the reference shuffles, so the oracle can pin
     values). The global counter is a DISTRIBUTED PREFIX SUM, the
     ``pack_sequences_ds`` pattern: (1) per-block top-(ratio+1) prune is
-    the combiner; (2) one shuffle co-locates contiguous qid ranges
-    (``range_id = qid // range_size``); (3) per-range triple counts are a
-    tiny combiner aggregate (#ranges rows on the driver, a knob, never
-    the data); (4) exclusive offsets broadcast via ``ray.put``; (5) each
-    range sorts its own triples and adds local cumsum to its base. No
-    global sort, no driver loop over rows.
+    the combiner; (2) one ``bucketed`` shuffle on qid assembles each
+    query's triples, tagged with ``range_id = qid // range_size``; (3)
+    per-range triple counts are a tiny combiner aggregate (#ranges rows on
+    the driver, a knob, never the data); (4) exclusive offsets broadcast
+    via ``ray.put``; (5) a second shuffle on the range id sorts each
+    range's triples and adds a local count to its base. No global sort,
+    no driver loop over rows.
 
     Output (ordinal, qid, pid, label): label 1 where
     ``ordinal % (ratio+1) == 0`` (the positive turn), else 0.
@@ -1170,17 +1173,13 @@ def train_interleave(sf_dir: str, ratio: int = 4,
                         ["o_custkey", "o_orderkey", "o_totalprice"])
 
     def prune(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["o_custkey", "o_totalprice", "o_orderkey"],
-                            ascending=[True, False, True],
-                            kind="mergesort") \
-            .groupby("o_custkey", sort=False).head(k).copy()
-        df["range_id"] = df["o_custkey"].to_numpy(np.int64) // range_size
-        return df
+        return df.sort_values(["o_custkey", "o_totalprice", "o_orderkey"],
+                              ascending=[True, False, True],
+                              kind="mergesort") \
+            .groupby("o_custkey", sort=False).head(k)
 
-    def assemble(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["o_custkey", "o_totalprice", "o_orderkey"],
-                          ascending=[True, False, True], kind="mergesort")
-        g = g.groupby("o_custkey", sort=False).head(k)
+    def assemble(t: pa.Table) -> pa.Table:
+        g = prune(t.to_pandas())
         rank = g.groupby("o_custkey", sort=False).cumcount().to_numpy()
         q = g["o_custkey"].to_numpy(np.int64)
         p = g["o_orderkey"].to_numpy(np.int64)
@@ -1188,17 +1187,16 @@ def train_interleave(sf_dir: str, ratio: int = 4,
         pos_ids = p[rank == 0]
         pos_q = q[rank == 0]
         idx = np.searchsorted(pos_q, q[neg_mask])
-        return pd.DataFrame({
+        return pa.table({
             "qid": q[neg_mask],
             "r": rank[neg_mask].astype(np.int64),
             "pos_id": pos_ids[idx],
             "neg_id": p[neg_mask],
-            "range_id": g["range_id"].to_numpy(np.int64)[neg_mask],
+            "range_id": q[neg_mask] // range_size,
         })
 
-    triples = orders.map_batches(prune, batch_format="pandas") \
-        .groupby("range_id").map_groups(assemble, batch_format="pandas") \
-        .materialize()
+    triples = bucketed(orders.map_batches(prune, batch_format="pandas"),
+                       ["o_custkey"], assemble, 32).materialize()
 
     counts = grouped_agg(triples, ["range_id"],
                          {"n": ("qid", "count")}).to_pandas()
@@ -1207,22 +1205,22 @@ def train_interleave(sf_dir: str, ratio: int = 4,
     offsets = np.concatenate([[0], np.cumsum(n)[:-1]])
     off_ref = ray.put((counts["range_id"].to_numpy(np.int64), offsets))
 
-    def number(g: pd.DataFrame) -> pd.DataFrame:
+    def number(g: pa.Table) -> pa.Table:
         rids, offs = ray.get(off_ref)
-        g = g.sort_values(["qid", "r"], kind="mergesort")
-        base = offs[np.searchsorted(rids, int(g["range_id"].iloc[0]))]
-        ordinal = base + np.arange(len(g), dtype=np.int64)
+        g = g.sort_by([("qid", "ascending"), ("r", "ascending")])
+        rid = g["range_id"].to_numpy()      # ranges ascend with qid
+        ordinal = offs[np.searchsorted(rids, rid)] \
+            + run_cumsum(rid, np.ones(len(g), np.int64)) - 1
         is_pos = (ordinal % k) == 0
-        return pd.DataFrame({
+        return pa.table({
             "ordinal": ordinal,
-            "qid": g["qid"].to_numpy(np.int64),
-            "pid": np.where(is_pos, g["pos_id"].to_numpy(np.int64),
-                            g["neg_id"].to_numpy(np.int64)),
+            "qid": g["qid"],
+            "pid": np.where(is_pos, g["pos_id"].to_numpy(),
+                            g["neg_id"].to_numpy()),
             "label": is_pos.astype(np.int64),
         })
 
-    return triples.groupby("range_id").map_groups(number,
-                                                  batch_format="pandas")
+    return bucketed(triples, ["range_id"], number, 32)
 
 
 def train_rotation(sf_dir: str, epochs: int = 3, max_pos: int = 2,
@@ -1243,29 +1241,23 @@ def train_rotation(sf_dir: str, epochs: int = 3, max_pos: int = 2,
     is the teacher-score difference (reference model.py:426-430), teacher
     = ``round(price * 1e-3, 6)`` as in ``teacher_scores``.
 
-    Shape: per-block top-``pool`` prune (combiner) -> ONE shuffle by qid
-    hash bucket -> fully vectorized queue assembly + modular indexing per
-    bucket (no per-row Python). Output (qid, visit, pos_id, neg_id,
+    Shape: per-block top-``pool`` prune (combiner) -> ONE ``bucketed``
+    shuffle on qid -> fully vectorized queue assembly + modular indexing
+    per bucket (no per-row Python). Output (qid, visit, pos_id, neg_id,
     margin), ``epochs`` rows per eligible query.
     """
-    from chameleon_entity_linking_ray.stages.agg import _bucket_of
-
     orders = read_table(sf_dir, "orders",
                         ["o_custkey", "o_orderkey", "o_totalprice",
                          "o_orderstatus"])
 
     def prune(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["o_custkey", "o_totalprice", "o_orderkey"],
-                            ascending=[True, False, True],
-                            kind="mergesort") \
-            .groupby("o_custkey", sort=False).head(pool).copy()
-        df["__qbucket"] = _bucket_of(df, ["o_custkey"], num_buckets)
-        return df
+        return df.sort_values(["o_custkey", "o_totalprice", "o_orderkey"],
+                              ascending=[True, False, True],
+                              kind="mergesort") \
+            .groupby("o_custkey", sort=False).head(pool)
 
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["o_custkey", "o_totalprice", "o_orderkey"],
-                          ascending=[True, False, True], kind="mergesort")
-        g = g.groupby("o_custkey", sort=False).head(pool)
+    def per_bucket(t: pa.Table) -> pa.Table:
+        g = prune(t.to_pandas())
         q = g["o_custkey"].to_numpy(np.int64)
         pid = g["o_orderkey"].to_numpy(np.int64)
         price = g["o_totalprice"].to_numpy(np.float64)
@@ -1287,11 +1279,11 @@ def train_rotation(sf_dir: str, epochs: int = 3, max_pos: int = 2,
                                      return_counts=True)
         npid, nteach = pid[is_neg], teach[is_neg]
         if len(nq) == 0:
-            return pd.DataFrame({"qid": np.array([], np.int64),
-                                 "visit": np.array([], np.int64),
-                                 "pos_id": np.array([], np.int64),
-                                 "neg_id": np.array([], np.int64),
-                                 "margin": np.array([], np.float64)})
+            return pa.table({"qid": np.array([], np.int64),
+                             "visit": np.array([], np.int64),
+                             "pos_id": np.array([], np.int64),
+                             "neg_id": np.array([], np.int64),
+                             "margin": np.array([], np.float64)})
         # align the (possibly absent) positive queue to each neg-queue qid
         if len(pq):
             pj = np.searchsorted(pq, nq)
@@ -1325,14 +1317,14 @@ def train_rotation(sf_dir: str, epochs: int = 3, max_pos: int = 2,
         pos_id = np.where(hp, pp_id, npid[pos_idx_n])
         pos_t = np.where(hp, pp_t, nteach[pos_idx_n])
         neg_idx = r_nstart + np.where(hp, v % r_ncnt, (2 * v + 1) % r_ncnt)
-        return pd.DataFrame({
+        return pa.table({
             "qid": rq, "visit": v, "pos_id": pos_id.astype(np.int64),
             "neg_id": npid[neg_idx],
             "margin": pos_t - nteach[neg_idx],
         })
 
-    return orders.map_batches(prune, batch_format="pandas") \
-        .groupby("__qbucket").map_groups(per_bucket, batch_format="pandas")
+    return bucketed(orders.map_batches(prune, batch_format="pandas"),
+                    ["o_custkey"], per_bucket, num_buckets)
 
 
 # ------------------------------------- DSIR: importance-resampling score

@@ -40,6 +40,8 @@ import ray
 import ray.data
 from ray.data import Dataset
 
+from chameleon_entity_linking_ray.stages.shuffle import bucketed
+
 ENTITY_STRUCT = pa.struct([
     ("spot", pa.string()),
     ("title", pa.string()),
@@ -202,18 +204,11 @@ def select_hard_negatives(ds: Dataset, negs_to_use: list[str],
     (cross-system dedup counts only NEW pids toward a system's cap —
     faithful to the reference's ``negs_added`` loop). Emits (qid, pid,
     label) with label 1.0 for pos, 0.0 for neg."""
-    from chameleon_entity_linking_ray.functions.hashing import mix64
-
     sys_order = {s: i for i, s in enumerate(negs_to_use)}
 
-    def bucket(batch: pa.Table) -> pa.Table:
-        q = batch.column("qid").to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = (mix64(q, seed=43) % np.uint64(num_buckets)).astype(np.int32)
-        return batch.append_column("__qbucket", pa.array(b, pa.int32()))
-
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    def per_bucket(g: pa.Table) -> pa.Table:
         out_q, out_p, out_l = [], [], []
-        for qid, sub in g.groupby("qid", sort=False):
+        for qid, sub in g.to_pandas().groupby("qid", sort=False):
             pos = sub.loc[sub["kind"] == "pos"] \
                 .sort_values("pos_in_list", kind="mergesort")["pid"].tolist()
             neg = sub.loc[(sub["kind"] == "neg") &
@@ -235,12 +230,11 @@ def select_hard_negatives(ds: Dataset, negs_to_use: list[str],
                 out_q += [qid] * (len(pos) + len(kept))
                 out_p += pos + kept
                 out_l += [1.0] * len(pos) + [0.0] * len(kept)
-        return pd.DataFrame({"qid": np.asarray(out_q, np.int64),
-                             "pid": np.asarray(out_p, np.int64),
-                             "label": np.asarray(out_l, np.float64)})
+        return pa.table({"qid": np.asarray(out_q, np.int64),
+                         "pid": np.asarray(out_p, np.int64),
+                         "label": np.asarray(out_l, np.float64)})
 
-    return ds.map_batches(bucket, batch_format="pyarrow") \
-        .groupby("__qbucket").map_groups(per_bucket, batch_format="pandas")
+    return bucketed(ds, ["qid"], per_bucket, num_buckets)
 
 
 def read_score_pickle_gz(path: str) -> Dataset:

@@ -21,16 +21,12 @@ import pyarrow as pa
 import pyarrow.compute as pc
 from ray.data import Dataset
 
-from chameleon_entity_linking_ray.stages.shuffle import bucket_of, bucketed
+from chameleon_entity_linking_ray.stages.shuffle import bucketed
 
 # out_col -> (src_col, kind); kind in {"sum", "count", "min", "max"}
 AggSpec = dict[str, tuple[str | None, str]]
 
 _COMBINE = {"sum": "sum", "count": "sum", "min": "min", "max": "max"}
-
-
-def _bucket_of(df: pd.DataFrame, keys: list[str], num_buckets: int) -> np.ndarray:
-    return bucket_of([df[k].to_numpy() for k in keys], num_buckets)
 
 
 def grouped_agg(ds: Dataset, keys: list[str], aggs: AggSpec,
@@ -199,26 +195,20 @@ def grouped_top_k(ds: Dataset, group_keys: list[str], by: list[str],
     /root/reference/CrossEncoder/test.py:102-106): top-k is a COMBINER,
     so each block first prunes to its own per-group top-k (the shuffle
     then moves <= k rows per (group, block) instead of every row), then
-    groups are bucketed by key hash and finished with one vectorized
-    sort + head(k) per bucket."""
+    one ``bucketed`` shuffle on the group keys finishes each bucket with
+    one vectorized sort + head(k)."""
 
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(group_keys + by,
-                            ascending=[True] * len(group_keys) + ascending,
-                            kind="mergesort") \
+    def head_k(df: pd.DataFrame) -> pd.DataFrame:
+        return df.sort_values(group_keys + by,
+                              ascending=[True] * len(group_keys) + ascending,
+                              kind="mergesort") \
             .groupby(group_keys, sort=False).head(k)
-        df = df.copy()
-        df["__abucket"] = _bucket_of(df, group_keys, num_buckets)
-        return df
 
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(group_keys + by,
-                          ascending=[True] * len(group_keys) + ascending,
-                          kind="mergesort")
-        out = g.groupby(group_keys, sort=False).head(k).drop(columns="__abucket")
+    def per_bucket(t: pa.Table) -> pa.Table:
+        out = head_k(t.to_pandas())
         if rank_col:
             out[rank_col] = out.groupby(group_keys, sort=False).cumcount() + 1
-        return out
+        return pa.Table.from_pandas(out, preserve_index=False)
 
-    return ds.map_batches(add_bucket, batch_format="pandas") \
-        .groupby("__abucket").map_groups(per_bucket, batch_format="pandas")
+    return bucketed(ds.map_batches(head_k, batch_format="pandas"),
+                    group_keys, per_bucket, num_buckets)

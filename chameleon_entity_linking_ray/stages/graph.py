@@ -34,6 +34,7 @@ from chameleon_entity_linking_ray.stages.agg import distinct, grouped_agg
 from chameleon_entity_linking_ray.stages.fold import each, fold
 from chameleon_entity_linking_ray.stages import joins
 from chameleon_entity_linking_ray.stages.joins import attach, hash_join
+from chameleon_entity_linking_ray.stages.shuffle import bucketed
 
 
 def _normalize_blocks(ds: Dataset, min_rows_per_block: int = 65536) -> Dataset:
@@ -97,9 +98,12 @@ def bfs_expand(edges: Dataset, seeds: list[int], k: int = 2,
     return visited
 
 
-def _bucket_of_int(arr: np.ndarray, num_buckets: int, seed: int = 61) -> np.ndarray:
-    return (mix64(arr.astype(np.uint64), seed=seed) %
-            np.uint64(num_buckets)).astype(np.int32)
+def _lookup(at: pa.ChunkedArray, keys: pa.ChunkedArray,
+            vals: pa.ChunkedArray) -> np.ndarray:
+    """The ``vals`` entry of each of ``at`` in the unique ``keys``, 0
+    where ``keys`` lacks it."""
+    idx = pc.index_in(at, value_set=keys.combine_chunks())
+    return pc.fill_null(pc.take(vals, idx), 0).to_numpy()
 
 
 def personalized_pagerank(edges: Dataset, seeds: list[int], alpha: float = 0.85,
@@ -109,15 +113,15 @@ def personalized_pagerank(edges: Dataset, seeds: list[int], alpha: float = 0.85,
     driver (reference semantics: pagerank_power with a personalize vector,
     /root/reference/utils/entity_expander.py:122-126).
 
-    Per round, exactly THREE bucketed shuffles and one materialize barrier
-    (the joins are lean schema-pinned union+groupby forms, not the general
-    ``hash_join`` — no per-call materialize, no schema probes):
+    Per round, exactly THREE ``bucketed`` shuffles and one materialize
+    barrier (the joins are lean schema-pinned union+shuffle forms, not the
+    general ``hash_join`` — no per-call materialize, no schema probes):
 
-      1. edges ∪ shares grouped by hash(src):  share lookup + per-bucket
-         partial Σ per dst   (the combiner)
-      2. partials grouped by hash(dst):        contrib = Σ c
-      3. ranks ∪ contrib grouped by hash(node): rank' = α·(contrib +
-         dangling·restart) + (1-α)·restart
+      1. edges ∪ shares on src:   share lookup + per-bucket partial Σ per
+         dst   (the combiner)
+      2. partials on dst:         contrib = Σ c
+      3. ranks ∪ contrib on node: rank' = α·(contrib + dangling·restart)
+         + (1-α)·restart
 
     The driver holds per-round SCALARS only (dangling mass, L1 delta),
     summed from one ``each`` task per rank block. Returns
@@ -129,12 +133,10 @@ def personalized_pagerank(edges: Dataset, seeds: list[int], alpha: float = 0.85,
 
     # --- static tables, built once ---------------------------------------
     def edge_rows(batch: pa.Table) -> pa.Table:
-        src = batch.column("src").to_numpy(zero_copy_only=False)
         return pa.table({
             "k": batch.column("src").cast(pa.int64()),
             "dst": batch.column("dst").cast(pa.int64()),
             "share": pa.nulls(batch.num_rows, pa.float64()),
-            "b": pa.array(_bucket_of_int(src, num_buckets), pa.int32()),
         })
 
     edges_t = edges.map_batches(edge_rows, batch_format="pyarrow").materialize()
@@ -160,11 +162,9 @@ def personalized_pagerank(edges: Dataset, seeds: list[int], alpha: float = 0.85,
         is_seed = pc.is_in(node, value_set=seeds_arr)
         restart = pc.if_else(is_seed, pa.scalar(1.0 / n_seeds), pa.scalar(0.0))
         deg = pc.cast(pc.fill_null(batch.column("deg"), 0), pa.int64())
-        nb = _bucket_of_int(node.to_numpy(zero_copy_only=False), num_buckets)
         return pa.table({"node": node, "deg": deg, "restart": restart,
                          "rank": restart, "prev": restart,
-                         "c": pa.nulls(batch.num_rows, pa.float64()),
-                         "b": pa.array(nb, pa.int32())})
+                         "c": pa.nulls(batch.num_rows, pa.float64())})
 
     ranks = nd.map_batches(init_rank, batch_format="pyarrow").materialize()
     # pin the per-round block count: every groupby's output block count
@@ -189,9 +189,11 @@ def personalized_pagerank(edges: Dataset, seeds: list[int], alpha: float = 0.85,
                 float(sum(e for _, e in parts)))
 
     dangling, _ = _sums(ranks)
-    _EMPTY_PART = {"dst": pd.Series(dtype=np.int64),
-                   "c": pd.Series(dtype=np.float64),
-                   "b2": pd.Series(dtype=np.int32)}
+
+    def dst_sums(dst: np.ndarray, c: np.ndarray) -> pa.Table:
+        du, inv = np.unique(dst, return_inverse=True)
+        sums = np.bincount(inv, weights=c, minlength=len(du))
+        return pa.table({"dst": du, "c": pa.array(sums, pa.float64())})
 
     for _ in range(iters):
         # 1. share lookup per src bucket + per-bucket partial sums per dst
@@ -201,89 +203,44 @@ def personalized_pagerank(edges: Dataset, seeds: list[int], alpha: float = 0.85,
             share = np.divide(rank, deg, out=np.zeros_like(rank), where=deg > 0)
             return pa.table({"k": batch.column("node"),
                              "dst": pa.nulls(batch.num_rows, pa.int64()),
-                             "share": pa.array(share, pa.float64()),
-                             "b": batch.column("b")})
+                             "share": pa.array(share, pa.float64())})
 
-        def contrib_partial(g: pd.DataFrame) -> pd.DataFrame:
-            is_share = g["dst"].isna().to_numpy()
-            sh = g.loc[is_share]
-            ed = g.loc[~is_share]
-            if not len(ed) or not len(sh):
-                return pd.DataFrame(_EMPTY_PART)
-            lookup = pd.Series(sh["share"].to_numpy(),
-                               index=sh["k"].to_numpy())
-            w = lookup.reindex(ed["k"].to_numpy()).to_numpy()
-            dst = ed["dst"].to_numpy(np.int64)
-            du, inv = np.unique(dst, return_inverse=True)
-            sums = np.bincount(inv, weights=np.nan_to_num(w))
-            return pd.DataFrame({
-                "dst": du, "c": sums,
-                "b2": _bucket_of_int(du, num_buckets)})
+        def contrib_partial(g: pa.Table) -> pa.Table:
+            is_share = pc.is_null(g["dst"])
+            sh, ed = g.filter(is_share), g.filter(pc.invert(is_share))
+            return dst_sums(ed["dst"].to_numpy(),
+                            _lookup(ed["k"], sh["k"], sh["share"]))
 
-        partials = edges_t.union(
-            ranks.map_batches(share_rows, batch_format="pyarrow")) \
-            .groupby("b").map_groups(contrib_partial, batch_format="pandas")
+        partials = bucketed(edges_t.union(
+            ranks.map_batches(share_rows, batch_format="pyarrow")),
+            ["k"], contrib_partial, num_buckets)
+        contrib = bucketed(partials, ["dst"], lambda g: dst_sums(
+            g["dst"].to_numpy(), g["c"].to_numpy()), num_buckets)
 
-        def contrib_sum(g: pd.DataFrame) -> pd.DataFrame:
-            out = g.groupby("dst", sort=False)["c"].sum().reset_index()
-            return out if len(out) else pd.DataFrame(
-                {"dst": pd.Series(dtype=np.int64),
-                 "c": pd.Series(dtype=np.float64)})
-
-        contrib = partials.groupby("b2").map_groups(contrib_sum,
-                                                    batch_format="pandas")
-
-        # 3. step: ranks ∪ contrib per node bucket
+        # 3. step: ranks ∪ contrib on node
         def contrib_rows(batch: pa.Table) -> pa.Table:
-            dst = batch.column("dst").to_numpy(zero_copy_only=False)
             n = batch.num_rows
             return pa.table({"node": batch.column("dst").cast(pa.int64()),
                              "deg": pa.nulls(n, pa.int64()),
                              "restart": pa.nulls(n, pa.float64()),
                              "rank": pa.nulls(n, pa.float64()),
                              "prev": pa.nulls(n, pa.float64()),
-                             "c": batch.column("c").cast(pa.float64()),
-                             "b": pa.array(_bucket_of_int(dst, num_buckets),
-                                           pa.int32())})
+                             "c": batch.column("c").cast(pa.float64())})
 
-        def step(g: pd.DataFrame, d=dangling) -> pd.DataFrame:
-            is_c = g["deg"].isna().to_numpy()
-            rk = g.loc[~is_c]
-            if not len(rk):
-                return pd.DataFrame({
-                    "node": pd.Series(dtype=np.int64),
-                    "deg": pd.Series(dtype=np.int64),
-                    "restart": pd.Series(dtype=np.float64),
-                    "rank": pd.Series(dtype=np.float64),
-                    "prev": pd.Series(dtype=np.float64),
-                    "b": pd.Series(dtype=np.int32)})
-            cm = g.loc[is_c]
-            lookup = pd.Series(cm["c"].to_numpy(), index=cm["node"].to_numpy())
-            c = np.nan_to_num(lookup.reindex(rk["node"].to_numpy()).to_numpy())
-            restart = rk["restart"].to_numpy(np.float64)
-            old = rk["rank"].to_numpy(np.float64)
+        def step(g: pa.Table, d=dangling) -> pa.Table:
+            is_c = pc.is_null(g["deg"])
+            cm, rk = g.filter(is_c), g.filter(pc.invert(is_c))
+            c = _lookup(rk["node"], cm["node"], cm["c"])
+            restart = rk["restart"].to_numpy()
             new = alpha * (c + d * restart) + (1 - alpha) * restart
-            return pd.DataFrame({
-                "node": rk["node"].to_numpy(np.int64),
-                "deg": rk["deg"].to_numpy(np.int64),
-                "restart": restart, "rank": new, "prev": old,
-                "b": rk["b"].to_numpy(np.int32)})
+            return pa.table({"node": rk["node"], "deg": rk["deg"],
+                             "restart": rk["restart"], "rank": new,
+                             "prev": rk["rank"],
+                             "c": pa.nulls(len(rk), pa.float64())})
 
-        stepped = ranks.union(
-            contrib.map_batches(contrib_rows, batch_format="pyarrow")) \
-            .groupby("b").map_groups(step, batch_format="pandas")
-
-        def reshape(batch: pa.Table) -> pa.Table:
-            return pa.table({
-                "node": batch.column("node").cast(pa.int64()),
-                "deg": batch.column("deg").cast(pa.int64()),
-                "restart": batch.column("restart").cast(pa.float64()),
-                "rank": batch.column("rank").cast(pa.float64()),
-                "prev": batch.column("prev").cast(pa.float64()),
-                "c": pa.nulls(batch.num_rows, pa.float64()),
-                "b": batch.column("b").cast(pa.int32())})
-
-        ranks = stepped.map_batches(reshape, batch_format="pyarrow") \
+        ranks = bucketed(ranks.union(
+            contrib.map_batches(contrib_rows, batch_format="pyarrow")),
+            ["node"], step, num_buckets) \
             .repartition(rank_blocks).materialize()
         dangling, delta = _sums(ranks)
         if delta < tol:
@@ -373,42 +330,28 @@ def expand_per_seed(edges: Dataset, seeds: list[int], k: int = 20,
 def copurchase_edges(sf_dir: str) -> Dataset:
     """Part co-purchase graph from lineitem: (src part, dst part) for parts
     sharing an order, both directions, deduped — a self-join realized as a
-    bucketed groupby over orders (never a cartesian across orders)."""
+    ``bucketed`` shuffle on the order key (never a cartesian across
+    orders), deduped by a second one on src."""
     li = ray.data.read_parquet(f"{sf_dir}/lineitem.parquet",
                                columns=["l_orderkey", "l_partkey"])
 
-    def bucket(batch: pa.Table) -> pa.Table:
-        ok = batch.column("l_orderkey").to_numpy(zero_copy_only=False)
-        b = (mix64(ok.astype(np.uint64), seed=77) % np.uint64(32)).astype(np.int32)
-        return batch.append_column("obucket", pa.array(b, pa.int32()))
+    def edge_table(e: np.ndarray) -> pa.Table:
+        e = np.unique(e.reshape(-1, 2).astype(np.int64), axis=0)
+        return pa.table({"src": e[:, 0], "dst": e[:, 1]})
 
-    def pairs(g: pd.DataFrame) -> pd.DataFrame:
-        outs = []
-        for _, sub in g.groupby("l_orderkey", sort=False):
-            parts = np.unique(sub["l_partkey"].to_numpy(np.int64))
-            if len(parts) < 2:
-                continue
+    def pairs(g: pa.Table) -> pa.Table:
+        # sorted distinct (order, part) rows, one run of parts per order
+        op = np.unique(np.c_[g["l_orderkey"].to_numpy(),
+                             g["l_partkey"].to_numpy()], axis=0)
+        outs = [np.empty((0, 2), np.int64)]
+        for parts in np.split(op[:, 1], np.flatnonzero(np.diff(op[:, 0])) + 1):
             iu, ju = np.triu_indices(len(parts), k=1)
-            outs.append(pd.DataFrame({"src": parts[iu], "dst": parts[ju]}))
-        if not outs:
-            return pd.DataFrame({"src": pd.Series(dtype=np.int64),
-                                 "dst": pd.Series(dtype=np.int64)})
-        df = pd.concat(outs)
-        both = pd.concat([df, df.rename(columns={"src": "dst", "dst": "src"})])
-        return both.drop_duplicates()
+            outs += [np.c_[parts[iu], parts[ju]], np.c_[parts[ju], parts[iu]]]
+        return edge_table(np.concatenate(outs))
 
-    def dedup_bucket(batch: pa.Table) -> pa.Table:
-        s = batch.column("src").to_numpy(zero_copy_only=False)
-        b = (mix64(s.astype(np.uint64), seed=79) % np.uint64(32)).astype(np.int32)
-        return batch.append_column("ebucket", pa.array(b, pa.int32()))
-
-    def dedup(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates(["src", "dst"])[["src", "dst"]]
-
-    return li.map_batches(bucket, batch_format="pyarrow") \
-        .groupby("obucket").map_groups(pairs, batch_format="pandas") \
-        .map_batches(dedup_bucket, batch_format="pyarrow") \
-        .groupby("ebucket").map_groups(dedup, batch_format="pandas")
+    return bucketed(bucketed(li, ["l_orderkey"], pairs, 32), ["src"],
+                    lambda g: edge_table(np.c_[g["src"].to_numpy(),
+                                               g["dst"].to_numpy()]), 32)
 
 
 def bfs_copurchase(sf_dir: str, seed_part: int = 0, k: int = 2) -> Dataset:
@@ -537,20 +480,14 @@ def _triangles(cand: Dataset, deg: Dataset, num_buckets: int) -> Dataset:
             "src": pa.array(os_, pa.int64()),
             "dst": pa.array(od_, pa.int64()),
             "ddeg": pa.array(oddeg.astype(np.int64), pa.int64()),
-            "wbucket": pa.array((mix64(os_.astype(np.uint64), seed=83)
-                                 % np.uint64(num_buckets)).astype(np.int32),
-                                pa.int32()),
         })
 
     oriented = withdeg.map_batches(orient, batch_format="pyarrow")
 
-    def wedge_rows(g: pd.DataFrame) -> pd.DataFrame:
-        out_empty = pd.DataFrame({c: pd.Series(dtype=np.int64) for c in
-                                  ("u", "v", "center")})
-        g = g.sort_values(["src", "ddeg", "dst"], kind="mergesort")
+    def wedge_rows(g: pa.Table) -> pa.Table:
+        g = g.sort_by([("src", "ascending"), ("ddeg", "ascending"),
+                       ("dst", "ascending")])
         n = len(g)
-        if n < 2:
-            return out_empty
         src = g["src"].to_numpy()
         dst = g["dst"].to_numpy()
         # per-src runs: each anchor pairs with every later out-neighbor
@@ -563,16 +500,13 @@ def _triangles(cand: Dataset, deg: Dataset, num_buckets: int) -> Dataset:
         idx = np.arange(n)
         counts = run_end - idx - 1
         total = int(counts.sum())
-        if total == 0:
-            return out_empty
         ia = np.repeat(idx, counts)
         starts = np.cumsum(counts) - counts
         ib = np.arange(total) - np.repeat(starts, counts) \
             + np.repeat(idx + 1, counts)
-        return pd.DataFrame({"u": dst[ia], "v": dst[ib], "center": src[ia]})
+        return pa.table({"u": dst[ia], "v": dst[ib], "center": src[ia]})
 
-    wedges = oriented.groupby("wbucket").map_groups(wedge_rows,
-                                                    batch_format="pandas")
+    wedges = bucketed(oriented, ["src"], wedge_rows, num_buckets)
 
     _W = pa.schema([("u", pa.int64()), ("v", pa.int64()),
                     ("center", pa.int64())])

@@ -5,10 +5,10 @@ run)`` that closes every reference test script
 Fully/test.py:128-131).
 
 Shape: run(qid, pid, score) x qrels(qid, pid, rel) -> per-query metrics via
-one bucketed ``groupby(qid-hash).map_groups`` (each bucket computes ALL its
-queries vectorized with numpy — ranking by (score desc, pid asc), binary
+one ``shuffle.bucketed`` stage on qid (each bucket computes ALL its queries
+vectorized with numpy — ranking by (score desc, pid asc), binary
 relevance), then a combiner mean -> ONE global row. At 100 TB the shuffle
-moves only (qid, pid, score, rel) tuples, pre-bucketed by qid hash.
+moves only (qid, pid, score, rel) tuples.
 
 Metric definitions (binary rel, cutoff k, ties broken by pid asc —
 identical arithmetic in the DuckDB oracle in ``__ray_entry__.py``):
@@ -27,22 +27,21 @@ import pandas as pd
 import pyarrow as pa
 from ray.data import Dataset
 
-from chameleon_entity_linking_ray.functions.hashing import mix64
 from chameleon_entity_linking_ray.stages.agg import grouped_agg
 from chameleon_entity_linking_ray.stages.joins import hash_join
+from chameleon_entity_linking_ray.stages.shuffle import bucketed
 
 
-def _per_query_metrics(g: pd.DataFrame, k: int) -> pd.DataFrame:
+def _per_query_metrics(g: pa.Table, k: int) -> pa.Table:
     """All queries of one bucket, vectorized: sort once by (qid, -score,
     pid), then segment arithmetic per qid run."""
-    g = g.sort_values(["qid", "score", "pid"],
-                      ascending=[True, False, True], kind="mergesort")
+    g = g.sort_by([("qid", "ascending"), ("score", "descending"),
+                   ("pid", "ascending")])
     qid = g["qid"].to_numpy()
-    rel = g["rel"].to_numpy(np.float64)
+    rel = g["rel"].to_numpy().astype(np.float64)
     # qrels-only docs (not retrieved by the run) sort last (-inf score);
     # they count in recall/AP denominators but can never be hits
-    retrieved = g["retrieved"].to_numpy(bool) if "retrieved" in g.columns \
-        else np.ones(len(g), bool)
+    retrieved = g["retrieved"].to_numpy()
     # per-qid run boundaries + within-run rank
     new_q = np.r_[True, qid[1:] != qid[:-1]]
     run_id = np.cumsum(new_q) - 1
@@ -78,7 +77,7 @@ def _per_query_metrics(g: pd.DataFrame, k: int) -> pd.DataFrame:
     idcg = ideal_cum[ideal_n]
     ndcg = np.divide(dcg, idcg, out=np.zeros_like(dcg), where=idcg > 0)
 
-    return pd.DataFrame({
+    return pa.table({
         "qid": qid[starts],
         "ndcg": ndcg, "p_at_k": p_at_k, "ap": ap, "rr": rr, "r_at_k": r_at_k,
     })
@@ -105,17 +104,13 @@ def per_query_ir_metrics(run: Dataset, qrels: Dataset | None, k: int = 10,
         retrieved = pc.is_valid(batch.column("score"))
         # rows only in qrels (no run score) rank last: -inf score
         score = pc.fill_null(batch.column("score"), float("-inf"))
-        qid = batch.column("qid")
-        b = (mix64(qid.to_numpy(zero_copy_only=False).astype(np.uint64),
-                   seed=59) % np.uint64(num_buckets)).astype(np.int32)
-        return pa.table({"qid": qid, "pid": batch.column("pid"),
+        return pa.table({"qid": batch.column("qid"),
+                         "pid": batch.column("pid"),
                          "score": score, "rel": pc.cast(rel, pa.float64()),
-                         "retrieved": retrieved,
-                         "__mbucket": pa.array(b, pa.int32())})
+                         "retrieved": retrieved})
 
-    return j.map_batches(clean, batch_format="pyarrow") \
-        .groupby("__mbucket") \
-        .map_groups(lambda g: _per_query_metrics(g, k), batch_format="pandas")
+    return bucketed(j.map_batches(clean, batch_format="pyarrow"), ["qid"],
+                    lambda g: _per_query_metrics(g, k), num_buckets)
 
 
 def ir_metrics_aggregate(run: Dataset, qrels: Dataset | None, k: int = 10,

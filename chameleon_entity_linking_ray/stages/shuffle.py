@@ -1,13 +1,17 @@
 """The engine's keyed shuffle: one key hash and one bucketed Arrow stage.
 
-Grouping by a raw key would pay one Python call per distinct key. The
-vocabulary merge, both blocked-pair stages, the connected-components star
-steps, ``agg.grouped_agg``/``distinct`` and the shuffle paths of
-``hash_join``/``attach`` instead shuffle rows by ``key_hash % num_buckets``:
-all rows of a key meet in one bucket, and the callback runs once per
-bucket on an Arrow table, vectorized over the keys inside it.
-``agg.grouped_top_k`` buckets its pandas partials with the same
-``bucket_of``.
+Grouping by a raw key would pay one Python call per distinct key. Every
+keyed shuffle of the package instead shuffles rows by ``key_hash %
+num_buckets``: all rows of a key meet in one bucket, and the callback runs
+once per bucket on an Arrow table, vectorized over the keys inside it. Its
+callers: the vocabulary merge, both blocked-pair stages, the
+connected-components star steps, ``agg.grouped_agg``/``distinct``/
+``grouped_top_k``, the shuffle paths of ``hash_join``/``attach``, the
+per-key metrics of ``metrics.per_query_ir_metrics``, PPR, the co-purchase
+graph and its triangles (``stages/graph.py``), and the per-user, per-key
+and per-range operators of ``pipelines/analytics.py``, ``corpus.py``,
+``traindata.py``, ``prep.curation_funnel`` and
+``ingest.select_hard_negatives``. No other module calls ``map_groups``.
 """
 
 from __future__ import annotations
@@ -60,13 +64,25 @@ def _exact_ints(col: pa.ChunkedArray) -> np.ndarray:
     return vals
 
 
+def run_cumsum(key: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Inclusive cumsum of ``vals`` that restarts at every change of
+    ``key``: per-key running sums over a bucket sorted by its key, for a
+    ``bucketed`` callback that sees several keys at once."""
+    cs = np.cumsum(vals)
+    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    run = np.diff(np.r_[first, len(key)])
+    return cs - np.repeat(cs[first] - vals[first], run)
+
+
 def bucketed(ds: Dataset, keys: Sequence[str],
              fn: Callable[[pa.Table], pa.Table], num_buckets: int) -> Dataset:
     """``fn`` over each of ``num_buckets`` buckets of ``ds``, shuffled by
-    the hash of its ``keys`` columns. ``fn`` gets all rows of a bucket (so
-    every row of a key tuple) in one Arrow table without a bucket column.
-    An empty input gives no rows and no schema: Ray calls no
-    ``map_groups`` UDF on an empty shuffle partition."""
+    the hash of its ``keys`` columns. ``fn`` is Arrow in and Arrow out: it
+    gets all rows of a bucket (so every row of several key tuples) in one
+    non-empty Arrow table without a bucket column. Its output's schema
+    metadata (pandas writes some) is dropped here. An empty input gives
+    no rows and no schema: Ray calls no ``map_groups`` UDF on an empty
+    shuffle partition."""
 
     def add_bucket(batch: pa.Table) -> pa.Table:
         # pandas schema metadata (a dict) would make Ray fail to hash the
@@ -77,7 +93,9 @@ def bucketed(ds: Dataset, keys: Sequence[str],
 
     @wraps(fn)
     def per_bucket(group: pa.Table) -> pa.Table:
-        return fn(group.drop_columns([_BUCKET]))
+        # pandas schema metadata (a dict) would make Ray fail to hash the
+        # schemas of the blocks it batches downstream
+        return fn(group.drop_columns([_BUCKET])).replace_schema_metadata(None)
 
     return ds.map_batches(add_bucket, batch_format="pyarrow") \
         .groupby(_BUCKET).map_groups(per_bucket, batch_format="pyarrow")

@@ -1,9 +1,12 @@
 """``stages.fold``: one task over every block (``fold``) or one per block
 (``each``), the input executed once; the output-order seam check built on
 ``each``; the flagship's execution count; the corpus and curation
-queries whose reductions run on ``fold``."""
+queries whose reductions run on ``fold``; the guards that keep every
+Ray task in ``fold`` and every keyed shuffle in ``shuffle.bucketed``, and
+the queries whose keyed shuffles run on ``bucketed``."""
 
 import ast
+import re
 import sys
 import time
 from pathlib import Path
@@ -28,7 +31,7 @@ from chameleon_entity_linking_ray.stages.fold import each, fold
 from chameleon_entity_linking_ray.testing.synth import make_transcripts
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
-from check_oracle import run_sweep  # noqa: E402
+from check_oracle import RERUNS, run_sweep, sweep_costs  # noqa: E402
 
 SF = "/root/testdata/sf0.001"
 
@@ -241,3 +244,71 @@ def test_no_hand_written_fold_tasks():
                         and name not in allowed.get(rel, ()):
                     found.append(f"{rel}:{node.lineno} in {name}")
     assert found == []
+
+
+def test_no_map_groups_outside_shuffle():
+    """Every keyed shuffle runs on ``stages/shuffle.bucketed``: no other
+    package module calls ``map_groups``."""
+    root = Path(chameleon_entity_linking_ray.__file__).parent
+    found = [f"{path.relative_to(root).as_posix()}:{node.lineno}"
+             for path in sorted(root.rglob("*.py"))
+             if path.relative_to(root).as_posix() != "stages/shuffle.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute)
+             and node.attr == "map_groups"]
+    assert found == []
+
+
+class TestCheckOracleReruns:
+    """check_oracle counts a ``limit=1`` plan only when it re-runs
+    operators the same query already ran."""
+
+    def test_a_real_rerun_is_counted(self):
+        with sweep_costs() as tally:
+            ds = rd.range(8).map_batches(lambda b: b)
+            ds.take_all()
+            ds.take(1)  # runs the read and the map again, up to limit=1
+            assert tally()[RERUNS] == 1
+            rd.range(8).map_batches(lambda b: b).take(1)  # a first run
+            assert tally()[RERUNS] == 0
+        assert tally.totals[RERUNS] == 1
+
+    def test_single_execution_ending_in_limit_is_not(self, plans):
+        """``tf_cosine_pairs``' ``Dataset.sum`` is one execution that
+        ends in ``limit=1``; it re-runs nothing."""
+        lines = []
+        assert run_sweep(SF, only={"tf_cosine_pairs"},
+                         echo=lines.append) == []
+        assert [p for p in plans if "limit=1" in p[0]]
+        assert f"{RERUNS}: 0;" in lines[0], lines[0]
+
+
+# queries that run a keyed shuffle ported onto ``bucketed``; before the
+# port the copurchase graph queries and stringsort_rank_quirk logged
+# "Failed to hash the schemas" (pandas metadata from a pandas
+# ``map_groups`` reaching the next shuffle)
+BUCKETED_QUERIES = [
+    "asof_events_orders", "asof_next_event", "sessionize_events",
+    "funnel_events", "event_lift", "event_transitions",
+    "rolling_user_window", "moving_avg_user", "user_running_total",
+    "event_pairs_within", "segment_percentiles", "throttle_events",
+    "merge_upsert", "snapshot_diff", "user_value_history",
+    "row_number_orders", "user_gaps", "user_event_paths",
+    "stringsort_rank_quirk", "topk_per_customer", "priority_mode",
+    "triangles_copurchase", "kcore_copurchase", "page_link_degrees",
+    "bfs_copurchase", "dfs_copurchase", "expanded_edges_dfs",
+    "ppr_copurchase", "degree_histogram", "edge_overlap",
+    "dedup_exact", "simhash_dup_pairs", "edit_distance_pairs",
+    "damerau_pairs", "jw_name_pairs", "golden_records",
+    "linkage_parts_surfaces", "pack_sequences", "train_interleave",
+    "train_rotation", "budget_sample", "curation_funnel",
+    "hard_negative_pairs", "ir_metrics"]
+
+
+@pytest.mark.parametrize("query", BUCKETED_QUERIES)
+def test_bucketed_query_matches_oracle_without_hash_warnings(query):
+    lines = []
+    assert run_sweep(SF, only={query}, echo=lines.append) == [], lines
+    verdict = next(line for line in lines if f" {query}:" in str(line))
+    assert re.search(r'"Failed to hash the schemas" warnings: 0\b',
+                     verdict), verdict

@@ -7,16 +7,16 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
+import ray
 import ray.data as rd
 
-from chameleon_entity_linking_ray.stages.agg import _bucket_of
 from chameleon_entity_linking_ray.stages.cluster import (
     _unionfind_assignments,
     connected_components,
 )
-from chameleon_entity_linking_ray.functions.hashing import hash64, mix64
 from chameleon_entity_linking_ray.stages.shuffle import (
     arrow_key_values,
+    bucket_of,
     bucketed,
     key_hash,
 )
@@ -49,26 +49,25 @@ FROZEN_BUCKET_P31 = {
 def test_key_hash_matches_frozen_values(keys):
     t = pa.Table.from_pandas(KEYS, preserve_index=False)
     assert key_hash(arrow_key_values(t, keys)).tolist() == FROZEN_HASH[keys]
-    # agg's buckets (grouped_agg, distinct, grouped_top_k, traindata and
-    # analytics' qid buckets) did not move
-    assert _bucket_of(KEYS, list(keys), 32).tolist() == FROZEN_BUCKET_32[keys]
-    assert _bucket_of(KEYS, list(keys), 2**31 - 1).tolist() == \
+    # the buckets every keyed shuffle uses (``bucketed``) did not move
+    assert bucket_of(arrow_key_values(t, keys), 32).tolist() == \
+        FROZEN_BUCKET_32[keys]
+    assert bucket_of(arrow_key_values(t, keys), 2**31 - 1).tolist() == \
         FROZEN_BUCKET_P31[keys]
 
 
-def old_agg_bucket_of(df, keys, num_buckets):
-    """stages/agg's bucket function before it called ``bucket_of``."""
-    h = np.zeros(len(df), dtype=np.uint64)
-    for i, k in enumerate(keys):
-        vals = df[k].to_numpy()
-        if np.issubdtype(vals.dtype, np.integer):
-            h ^= mix64(vals.astype(np.uint64), seed=31 + i)
-        else:
-            h ^= mix64(hash64(vals.astype(object)), seed=31 + i)
-    return (h % np.uint64(num_buckets)).astype(np.int32)
+# ``bucket_of(arrow_key_values(...), 97)`` of the every-dtype frame below
+FROZEN_DTYPE_BUCKET_97 = {
+    ("f",): [84, 8, 75, 82, 22], ("n",): [56, 42, 15, 91, 14],
+    ("t",): [1, 17, 79, 95, 69], ("b",): [50, 81, 50, 50, 81],
+    ("u",): [56, 92, 15, 16, 23], ("o",): [62, 8, 95, 41, 62],
+    ("f", "t", "n"): [94, 86, 84, 43, 93]}
 
 
 def test_agg_buckets_unmoved_for_every_dtype():
+    """Every key dtype keeps its Arrow-path buckets, and a row's bucket
+    does not depend on the batch it is hashed in (``bucketed`` hashes
+    each input batch on its own)."""
     df = pd.DataFrame({
         "f": [0.5, np.nan, -1.0, 1e300, 0.0],
         "n": pd.array([1, None, 3, 2**40, -5], dtype="Int64"),
@@ -78,9 +77,12 @@ def test_agg_buckets_unmoved_for_every_dtype():
         "b": [True, False, True, True, False],
         "u": np.array([1, 2**63, 3, 4, 5], np.uint64),
         "o": ["a", None, "", "b", "a"]})
-    for keys in (["f"], ["n"], ["t"], ["b"], ["u"], ["o"], ["f", "t", "n"]):
-        assert _bucket_of(df, keys, 97).tolist() == \
-            old_agg_bucket_of(df, keys, 97).tolist(), keys
+    t = pa.Table.from_pandas(df, preserve_index=False)
+    for keys, frozen in FROZEN_DTYPE_BUCKET_97.items():
+        assert bucket_of(arrow_key_values(t, keys), 97).tolist() == frozen, \
+            keys
+        assert [bucket_of(arrow_key_values(t.slice(i, 1), keys), 97)[0]
+                for i in range(len(t))] == frozen, keys
 
 
 def test_nullable_int_keys_hash_exactly():
@@ -128,6 +130,19 @@ def test_bucketed_empty_input_yields_no_rows():
     assert bucketed(empty, ["k"], call_ids(), 4).count() == 0
     filtered = rd.range(10).filter(lambda r: r["id"] < 0)
     assert bucketed(filtered, ["id"], call_ids(), 4).count() == 0
+
+
+def test_bucketed_output_carries_no_pandas_metadata():
+    """A callback that goes through pandas hands back a schema with
+    pandas metadata; ``bucketed`` drops it, so the blocks it emits have
+    a schema Ray can hash."""
+    t = pa.table({"k": pa.array([1, 2, 3, 1], pa.int64()),
+                  "v": pa.array([1.0, 2.0, 3.0, 4.0])})
+    out = bucketed(rd.from_arrow(t), ["k"], lambda g: pa.Table.from_pandas(
+        g.to_pandas(), preserve_index=False), 2).materialize()
+    blocks = ray.get(out.to_arrow_refs())
+    assert sum(b.num_rows for b in blocks) == 4
+    assert all(b.schema.metadata is None for b in blocks)
 
 
 @pytest.mark.parametrize("chain_len", [16, 64])

@@ -7,10 +7,11 @@ factors. Deselected by default (pytest.ini: -m "not sweep"); run with
 """
 
 import sys
+from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, "/root/repo/tools")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
 
 @pytest.mark.sweep

@@ -1,10 +1,11 @@
 """Local stand-in for the driver's correctness gate: run every queries()
 entry and its DuckDB oracle on the same sf dir, compare row count, sorted
-column names, and order-insensitive values. The run ends with what the
-sweep cost beyond its results: how many execution plans carry a
-``limit=1`` operator (a schema probe re-running its producer) and how
-many "different schema" and "Failed to hash the schemas" warnings Ray
-Data logged, on the driver and in every worker.
+column names, and order-insensitive values. Each query's line, and the
+run's last line in total, also give what it cost beyond its results: how
+many ``limit=1`` plans re-ran operators the query had already run (a
+schema probe re-running its producer) and how many "different schema"
+and "Failed to hash the schemas" warnings Ray Data logged, on the driver
+and in every worker.
 
 Usage: python tools/check_oracle.py [sf_dir] [name...]   (from the repo root)
 """
@@ -24,6 +25,7 @@ import pandas as pd
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WARNINGS = ("different schema", "Failed to hash the schemas")
+RERUNS = "limit=1 re-runs"
 TABLES = ("region nation customer supplier part orders lineitem events "
           "documents embeddings").split()
 
@@ -50,18 +52,42 @@ def canon(df: pd.DataFrame) -> pd.DataFrame:
     return df.sort_values(list(df.columns), kind="mergesort").reset_index(drop=True)
 
 
+def _names(ops) -> set[str]:
+    """The names of ``ops`` and every operator upstream of them."""
+    return {n for op in ops
+            for n in [op.name, *_names(op.input_dependencies)]}
+
+
+def _limits(op) -> list:
+    return [op] * ("limit=1" in op.name) + [
+        lim for d in op.input_dependencies for lim in _limits(d)]
+
+
+def reruns(plans: list) -> int:
+    """How many ``limit=1`` plans re-run work: a plan counts when every
+    operator under its limit already ran in an earlier plan of the list.
+    ``plans`` holds one ``(names, [names under each limit])`` pair per
+    execution, in execution order."""
+    seen, n = set(), 0
+    for names, under_limits in plans:
+        n += sum(bool(u) and u <= seen for u in under_limits)
+        seen |= names
+    return n
+
+
 @contextmanager
 def sweep_costs():
-    """Yields counts that fill in while the block runs: ``limit=1`` plans
-    (spied on the streaming executor) and the two ``WARNINGS``, from a
-    handler on the driver's ``ray.data`` logger plus what the workers
-    appended to their session ``.err`` logs meanwhile."""
+    """Yields ``tally``: each call returns what the work since the
+    previous call cost beyond its results and adds it to
+    ``tally.totals``. The costs are the ``limit=1`` re-runs (plans spied
+    on the streaming executor, see ``reruns``) and the two ``WARNINGS``,
+    from a handler on the driver's ``ray.data`` logger plus what the
+    workers appended to their session ``.err`` logs meanwhile."""
     import ray
     from ray.data._internal.execution.streaming_executor import (
         StreamingExecutor,
     )
 
-    counts = {"limit=1 plans": 0, **dict.fromkeys(WARNINGS, 0)}
     try:  # no public API names the session log dir; without it the
         # warnings go uncounted ("n/a") and the sweep still runs
         worker_logs = os.path.join(
@@ -69,48 +95,96 @@ def sweep_costs():
             "worker-*.err")
     except AttributeError:
         worker_logs = None
-    start = {f: os.path.getsize(f) for f in glob.glob(worker_logs or "")}
+    offsets = {f: os.path.getsize(f) for f in glob.glob(worker_logs or "")}
+    logged = dict.fromkeys(WARNINGS, 0)
+    plans = []
 
     class Count(logging.Handler):
         def emit(self, record):
             msg = record.getMessage()
             for w in WARNINGS:
-                counts[w] += w in msg
-
-    def op_names(op) -> list[str]:
-        return [op.name] + [n for d in op.input_dependencies
-                            for n in op_names(d)]
+                logged[w] += w in msg
 
     execute = StreamingExecutor.execute
 
     def spy(self, dag, *args, **kwargs):
-        counts["limit=1 plans"] += any("limit=1" in n for n in op_names(dag))
+        plans.append((_names([dag]), [_names(lim.input_dependencies)
+                                      - {"Input"} for lim in _limits(dag)]))
         return execute(self, dag, *args, **kwargs)
 
+    def tally() -> dict:
+        got = {RERUNS: reruns(plans), **logged}
+        plans.clear()
+        logged.update(dict.fromkeys(WARNINGS, 0))
+        for f in glob.glob(worker_logs or ""):
+            with open(f, errors="replace") as fh:
+                fh.seek(offsets.get(f, 0))
+                text = fh.read()
+                offsets[f] = fh.tell()
+            for w in WARNINGS:
+                got[w] += text.count(w)
+        if worker_logs is None:
+            got.update(dict.fromkeys(WARNINGS, "n/a"))
+        for k, v in got.items():
+            tally.totals[k] = v if isinstance(v, str) \
+                else tally.totals.get(k, 0) + v
+        return got
+
+    tally.totals = dict.fromkeys((RERUNS, *WARNINGS), 0)
     handler = Count(logging.WARNING)
     logging.getLogger("ray.data").addHandler(handler)
     StreamingExecutor.execute = spy
     try:
-        yield counts
+        yield tally
     finally:
         StreamingExecutor.execute = execute
         logging.getLogger("ray.data").removeHandler(handler)
-        if worker_logs is None:
-            counts.update(dict.fromkeys(WARNINGS, "n/a"))
-        for f in glob.glob(worker_logs or ""):
-            with open(f, errors="replace") as fh:
-                fh.seek(start.get(f, 0))
-                text = fh.read()
-            for w in WARNINGS:
-                counts[w] += text.count(w)
+
+
+def costs_text(costs: dict) -> str:
+    return "; ".join(f"{k}: {v}" if k == RERUNS else f'"{k}" warnings: {v}'
+                     for k, v in costs.items())
+
+
+def check(con, name: str, fn, oracle: str | None, sf_dir: str):
+    """Run one query against its oracle. Returns whether it passed, its
+    verdict line, and the first differing rows (or None)."""
+    t0 = time.time()
+    try:
+        mine = canon(to_pandas(fn(sf_dir)))
+    except Exception as e:
+        return False, f"FAIL {name}: ray error {type(e).__name__}: {e}", None
+    dt = time.time() - t0
+    if oracle is None:
+        return True, (f"ok?  {name}: rows={len(mine)} ({dt:.1f}s) "
+                      "[rows-only, no oracle]"), None
+    try:
+        gold = canon(con.sql(oracle).df())
+    except Exception as e:
+        return False, f"FAIL {name}: oracle error {e}", None
+    if list(mine.columns) != list(gold.columns):
+        return False, (f"FAIL {name}: columns {list(mine.columns)} != "
+                       f"{list(gold.columns)}"), None
+    if len(mine) != len(gold):
+        return False, f"FAIL {name}: rows {len(mine)} != {len(gold)}", None
+    if not mine.equals(gold):
+        neq = (mine != gold) & ~(mine.isna() & gold.isna())
+        bad = neq.any(axis=1)
+        return False, (f"FAIL {name}: {int(bad.sum())}/{len(mine)} rows "
+                       "differ; first:"), pd.concat(
+            [mine[bad].head(3).add_suffix("_ray"),
+             gold[bad].head(3).add_suffix("_sql")], axis=1)
+    return True, f"PASS {name}: rows={len(mine)} ({dt:.1f}s)", None
 
 
 def run_sweep(sf_dir: str, only: set[str] | None = None,
               echo=print) -> list[str]:
     """Run every queries() entry vs its DuckDB oracle on ``sf_dir``;
-    return the list of failing query names (empty = ALL GREEN). Assumes
-    Ray is already initialized (the caller owns the session — the
-    pytest ``-m sweep`` gate reuses the test session's)."""
+    return the list of failing query names (empty = ALL GREEN). Each
+    verdict line ends with that query's costs (``costs_text``), and the
+    run ends with their totals. Assumes Ray is already initialized (the
+    caller owns the session — the pytest ``-m sweep`` gate reuses the
+    test session's)."""
     sys.path.insert(0, ROOT)
     import __ray_entry__ as entrymod
 
@@ -119,50 +193,20 @@ def run_sweep(sf_dir: str, only: set[str] | None = None,
         con.sql(f"CREATE VIEW {t} AS SELECT * FROM "
                 f"read_parquet('{sf_dir}/{t}.parquet')")
 
-    with sweep_costs() as costs:
-        qs = entrymod.queries()
+    with sweep_costs() as tally:
         oracles = entrymod.oracle_sql()
         failures = []
-        for name, fn in qs.items():
+        for name, fn in entrymod.queries().items():
             if only and name not in only:
                 continue
-            t0 = time.time()
-            try:
-                mine = canon(to_pandas(fn(sf_dir)))
-            except Exception as e:
+            ok, line, diff = check(con, name, fn, oracles.get(name), sf_dir)
+            if not ok:
                 failures.append(name)
-                echo(f"FAIL {name}: ray error {type(e).__name__}: {e}")
-                continue
-            dt = time.time() - t0
-            if name not in oracles:
-                echo(f"ok?  {name}: rows={len(mine)} ({dt:.1f}s) [rows-only, no oracle]")
-                continue
-            try:
-                gold = canon(con.sql(oracles[name]).df())
-            except Exception as e:
-                failures.append(name)
-                echo(f"FAIL {name}: oracle error {e}")
-                continue
-            if list(mine.columns) != list(gold.columns):
-                failures.append(name)
-                echo(f"FAIL {name}: columns {list(mine.columns)} != {list(gold.columns)}")
-                continue
-            if len(mine) != len(gold):
-                failures.append(name)
-                echo(f"FAIL {name}: rows {len(mine)} != {len(gold)}")
-                continue
-            if not mine.equals(gold):
-                neq = (mine != gold) & ~(mine.isna() & gold.isna())
-                bad = neq.any(axis=1)
-                failures.append(name)
-                echo(f"FAIL {name}: {int(bad.sum())}/{len(mine)} rows differ; first:")
-                echo(pd.concat([mine[bad].head(3).add_suffix("_ray"),
-                                gold[bad].head(3).add_suffix("_sql")], axis=1))
-                continue
-            echo(f"PASS {name}: rows={len(mine)} ({dt:.1f}s)")
+            echo(f"{line} [{costs_text(tally())}]")
+            if diff is not None:
+                echo(diff)
     echo(f"\n{len(failures)} failures: {failures}" if failures else "\nALL GREEN")
-    echo(f"limit=1 plans: {costs['limit=1 plans']}; " + "; ".join(
-        f'"{w}" warnings: {costs[w]}' for w in WARNINGS))
+    echo(costs_text(tally.totals))
     return failures
 
 

@@ -18,7 +18,7 @@ tables (no external data) by tiling 10x with targeted key handling:
   quadratically in pair count), tiles 5-9 append a tile marker (near-dup
   mass at small Hamming distance).
 
-Usage: PYTHONPATH=/root/repo python tools/stress_sf1.py
+Usage: python tools/stress_sf1.py   (imports the package of its own checkout)
 Prints one JSON line per query plus a summary line; results are recorded
 in BASELINE.md ("sf1 stress").
 """
@@ -34,6 +34,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 DST = "/tmp/graft_stress_sf1"
 TILES = 10
@@ -137,7 +138,7 @@ def main() -> int:
     from ray.data import DataContext
     DataContext.get_current().enable_progress_bars = False
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, ROOT)
     _build()
 
     from chameleon_entity_linking_ray.pipelines.analytics import (
